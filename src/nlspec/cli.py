@@ -303,8 +303,7 @@ def cmd_run(args) -> int:
             F, restarts=int(opts.get("restarts", 5)), seed=seed,
             c=float(opts.get("c", 0.9)), rule=opts.get("rule", "constant"),
             tol=float(opts.get("tol", 1e-13)),
-            max_iter=int(opts.get("max_iter", 2000)),
-            threads=max(1, args.threads))
+            max_iter=int(opts.get("max_iter", 2000)))
         write_eigen_csv(os.path.join(out_dir, "eigen.csv"), out["all"])
         sig_dir = os.path.join(out_dir, "signals")
         write_signal(sig_dir, "ground_state", out["best"].w, grid_spec, manifest)
@@ -412,18 +411,31 @@ def cmd_compare(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 1; code 2 means a failed comparison or
+    validation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="nlspec",
+    # run flags are accepted before and after `run`.  Their defaults live in
+    # the namespace passed to parse_args: an argparse default on either parser
+    # would reset a flag given on the other.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--strict", action="store_true",
+                           default=argparse.SUPPRESS,
+                           help="treat solver warnings as errors")
+    run_flags.add_argument("--output-dir", default=argparse.SUPPRESS)
+    parser = _Parser(
+        prog="nlspec", parents=[run_flags],
         description="Nonlinear spectral decompositions on weighted graphs")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat solver warnings as errors")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent restarts")
-    parser.add_argument("--output-dir", default=None)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="execute an experiment config")
+    p_run = sub.add_parser("run", parents=[run_flags],
+                           help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--profile", action="store_true",
                        help="also write the asymptotic profile signal")
@@ -441,7 +453,8 @@ def main(argv=None) -> int:
                        help="YAML mapping column name to absolute tolerance")
     p_cmp.set_defaults(fn=cmd_compare)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(strict=False,
+                                                      output_dir=None))
     try:
         return args.fn(args)
     except ConfigError as exc:

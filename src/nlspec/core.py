@@ -5,15 +5,17 @@ carry the per-node measure m_i (default 1), i.e.
 
     <u, v> = sum_i m_i u_i v_i.
 
-The functional catalog is p-homogeneous and convex; `evaluate` dispatches on
-the handle kind.  Diagnostics (Rayleigh quotient, Euler identity residual,
-dual-ball membership, eigen certificates) are pure functions of their inputs.
+The functional catalog is p-homogeneous and convex; `evaluate_batch`
+dispatches on the handle kind and `evaluate` is its single-signal form.
+Diagnostics (Rayleigh quotient, Euler identity residual, dual-ball membership,
+eigen certificates) are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -168,45 +170,30 @@ def _check(F: FunctionalHandle, u) -> np.ndarray:
 
 def evaluate(F: FunctionalHandle, u) -> float:
     """J(u) for every catalog kind; >= 0 and exactly p-homogeneous."""
-    u = _check(F, u)
-    if F.kind == "quadratic_form":
-        return 0.5 * float(u @ (F.matrix @ u))
-    if F.kind == "l1":
-        return float(np.sum(F.measure * np.abs(u)))
-    if F.kind == "linf":
-        return float(np.max(np.abs(u)))
-    v = clamp_boundary(F, u)
-    i_idx, j_idx, w = F.graph.edge_arrays
-    d = np.abs(edgecalc.edge_diff(v, i_idx, j_idx))
-    if F.kind == "graph_tv":
-        return float(np.sum(w * d))
-    if F.kind == "dirichlet_p":
-        return float(np.sum(w * d ** F.p)) / F.p
-    if F.kind == "lipschitz_sup":
-        return float(np.max(w * d)) if len(d) else 0.0
-    raise UnsupportedFunctional(F.kind)
+    return float(evaluate_batch(F, _check(F, u)))
 
 
 def evaluate_batch(F: FunctionalHandle, U: np.ndarray) -> np.ndarray:
-    """J applied to the rows of U; used by the brute-force prox oracle."""
+    """J along the last axis of U: one signal, or the rows of a batch."""
     U = np.asarray(U, dtype=float)
     if F.kind == "quadratic_form":
-        return 0.5 * np.einsum("ki,ij,kj->k", U, F.matrix, U)
+        # row-by-column matmul: the 1-D case reduces exactly like u @ (M @ u)
+        MU = (F.matrix @ U.T).T
+        return 0.5 * (U[..., None, :] @ MU[..., :, None])[..., 0, 0]
     if F.kind == "l1":
-        return np.abs(U) @ F.measure
+        return np.sum(F.measure * np.abs(U), axis=-1)
     if F.kind == "linf":
-        return np.max(np.abs(U), axis=1)
-    V = U.copy()
-    if F.has_boundary:
-        V[:, ~F.graph.interior_mask] = 0.0
+        return np.max(np.abs(U), axis=-1)
+    # the node axis leads in V, so edge_diff gathers whole rows
+    V = clamp_boundary(F, U.T)
     i_idx, j_idx, w = F.graph.edge_arrays
-    D = np.abs(V[:, j_idx] - V[:, i_idx])
+    D = np.abs(edgecalc.edge_diff(V, i_idx, j_idx)).T
     if F.kind == "graph_tv":
-        return D @ w
+        return np.sum(w * D, axis=-1)
     if F.kind == "dirichlet_p":
-        return (D ** F.p) @ w / F.p
+        return np.sum(w * D ** F.p, axis=-1) / F.p
     if F.kind == "lipschitz_sup":
-        return np.max(w * D, axis=1) if D.shape[1] else np.zeros(len(U))
+        return np.max(w * D, axis=-1) if len(w) else np.zeros(U.shape[:-1])
     raise UnsupportedFunctional(F.kind)
 
 
@@ -257,7 +244,7 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
 
     Only defined for one-homogeneous functionals.  For graph functionals the
     question is a dual flow-feasibility problem, decided by a projected
-    least-squares fit of edge flows.
+    least-squares fit of edge flows (`edgecalc.dual_fista`).
     """
     if F.degree != 1:
         raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
@@ -281,33 +268,20 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
     scale = norm(zeta, m)
     if scale == 0.0:
         return True
-    psi = _edge_fit(zeta, i_idx, j_idx, m, interior, project, tol * scale, max_iter)
+    # stop once a step of the fit no longer moves the flow; L is the same
+    # deterministic bound the kernel takes its 1/L steps with
+    L = edgecalc.grad_div_opnorm(i_idx, j_idx, m, interior)
+    fit_tol = tol * scale
+    psi = np.zeros(len(i_idx))
+    iterates = edgecalc.dual_fista(zeta, i_idx, j_idx, m, interior, project)
+    for it, psi_new in enumerate(islice(iterates, max_iter)):
+        step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
+        psi = psi_new
+        if it > 10 and step * L < 0.01 * fit_tol:
+            break
     r = edgecalc.edge_div(psi, i_idx, j_idx, m) - zeta
     r[~interior] = 0.0
     return norm(r, m) <= tol * (1.0 + scale)
-
-
-def _edge_fit(g, i_idx, j_idx, measure, interior, project, tol, max_iter):
-    """min_psi 0.5*||div(psi) - g||^2_{m,interior} s.t. psi in the projected set.
-
-    FISTA with constant step 1/L; used only as a feasibility test.
-    """
-    L = edgecalc.grad_div_opnorm(i_idx, j_idx, measure, interior)
-    psi = np.zeros(len(i_idx))
-    y = psi.copy()
-    t = 1.0
-    for it in range(max_iter):
-        r = edgecalc.edge_div(y, i_idx, j_idx, measure) - g
-        r[~interior] = 0.0
-        grad = edgecalc.edge_diff(r, i_idx, j_idx)
-        psi_new = project(y - grad / L)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = psi_new + ((t - 1.0) / t_new) * (psi_new - psi)
-        step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
-        psi, t = psi_new, t_new
-        if it > 10 and step * L < 0.01 * tol:
-            break
-    return psi
 
 
 def min_norm_subgradient(F: FunctionalHandle, u) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Edge-space primitives for graph functionals.
 
-Discrete gradient/divergence pair, operator-norm estimation and the exact
-projections used by the dual prox solvers.  The pairing convention is
+Discrete gradient/divergence pair, operator-norm estimation, the exact
+projections used by the dual prox solvers, and the dual FISTA kernel they
+share.  The pairing convention is
 
     <div(phi), u>_m = sum_e phi_e * (u_j - u_i),
 
@@ -10,6 +11,8 @@ weighted inner product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,6 +51,31 @@ def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
             return 1.0
         phi = q / lam
     return 1.01 * lam
+
+
+def dual_fista(g: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
+               measure: np.ndarray, interior: np.ndarray, project):
+    """Yield the iterates psi_1, psi_2, ... of FISTA (Beck & Teboulle 2009) on
+
+        min_psi 0.5*||div(psi) - g||^2_m over interior nodes, psi in the set
+        that `project` maps onto,
+
+    with constant step 1/L, L = grad_div_opnorm(...) >= the norm of
+    phi -> edge_diff(mask(edge_div(phi))).  The generator never stops; each
+    caller applies its own stopping rule.
+    """
+    L = grad_div_opnorm(i_idx, j_idx, measure, interior)
+    psi = np.zeros(len(i_idx))
+    y = psi
+    t = 1.0
+    while True:
+        r = edge_div(y, i_idx, j_idx, measure) - g
+        r[~interior] = 0.0
+        psi_new = project(y - edge_diff(r, i_idx, j_idx) / L)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = psi_new + ((t - 1.0) / t_new) * (psi_new - psi)
+        psi, t = psi_new, t_new
+        yield psi
 
 
 def project_box(phi: np.ndarray, bound: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ lambda = (1 - mu) / (sigma * mu^{p-1}).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,14 +121,12 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
 
 def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,
                         c: float = 0.9, rule: str = "constant",
-                        tol: float = 1e-13, max_iter: int = 2000,
-                        threads: int = 1):
+                        tol: float = 1e-13, max_iter: int = 2000):
     """Multi-start search for the minimal nonzero eigenvalue.
 
     Start 0 is all-ones plus a small Gaussian perturbation (picks up
     low-frequency ground states); the rest are seeded Gaussian draws.  Results
-    are merged by (rayleigh, start index) so the outcome does not depend on
-    scheduling.
+    are merged by (rayleigh, start index).
     """
     if restarts < 1:
         raise BadParams("need at least one restart")
@@ -142,21 +139,15 @@ def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,
         else:
             starts.append(g)
 
-    def run(idx):
+    results, failures = [], []
+    for idx, start in enumerate(starts):
         try:
-            return idx, power_method(F, starts[idx], c=c, rule=rule, tol=tol,
-                                      max_iter=max_iter), None
+            pair = power_method(F, start, c=c, rule=rule, tol=tol,
+                                max_iter=max_iter)
         except Exception as exc:  # noqa: BLE001 - per-start failures are data
-            return idx, None, exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, range(restarts)))
-    else:
-        raw = [run(i) for i in range(restarts)]
-
-    results = [(i, pair) for (i, pair, err) in raw if pair is not None]
-    failures = [(i, err) for (i, pair, err) in raw if pair is None]
+            failures.append((idx, exc))
+        else:
+            results.append((idx, pair))
     if not results:
         raise failures[0][1]
     results.sort(key=lambda item: (item[1].rayleigh, item[0]))

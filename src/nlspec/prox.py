@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -127,8 +128,6 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
         def project(psi):
             return edgecalc.project_box(psi, bound)
 
-    L = edgecalc.grad_div_opnorm(i_idx, j_idx, m, interior)
-
     def primal_dual(psi):
         d = edgecalc.edge_div(psi, i_idx, j_idx, m)
         d[~interior] = 0.0
@@ -138,20 +137,11 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
         dval = -0.5 * norm(d, m) ** 2 + inner(fc, d, m)
         return u, pval, pval - dval
 
-    psi = np.zeros(len(i_idx))
-    y = psi.copy()
-    t = 1.0
-    u, pval, gap = primal_dual(psi)
+    u, pval, gap = primal_dual(np.zeros(len(i_idx)))
     best = (u, gap)
     its = 0
-    for its in range(1, max_iter + 1):
-        d = edgecalc.edge_div(y, i_idx, j_idx, m)
-        d[~interior] = 0.0
-        grad = edgecalc.edge_diff(d - fc, i_idx, j_idx)
-        psi_new = project(y - grad / L)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = psi_new + ((t - 1.0) / t_new) * (psi_new - psi)
-        psi, t = psi_new, t_new
+    iterates = edgecalc.dual_fista(fc, i_idx, j_idx, m, interior, project)
+    for its, psi in enumerate(islice(iterates, max_iter), start=1):
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_dual(psi)
             if gap < best[1]:
@@ -185,10 +175,8 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
         val = 0.5 * float(np.sum(m[idx_int] * (x - fc[idx_int]) ** 2))
         val += sigma / p * float(np.sum(w * np.abs(d) ** p))
         phi = sigma * w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        g_edges = np.zeros(F.dim)
-        np.add.at(g_edges, j_idx, phi)
-        np.subtract.at(g_edges, i_idx, phi)
-        grad = m[idx_int] * (x - fc[idx_int]) + g_edges[idx_int]
+        div = edgecalc.edge_div(phi, i_idx, j_idx, m)[idx_int]
+        grad = m[idx_int] * (x - fc[idx_int] + div)
         return val, grad
 
     def fenchel_gap(x):
@@ -196,10 +184,7 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
         d = edgecalc.edge_diff(u, i_idx, j_idx)
         pval = 0.5 * norm(u - fc, m) ** 2 + sigma * evaluate(F, u)
         phi = sigma * w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        div = np.zeros(F.dim)
-        np.add.at(div, j_idx, phi)
-        np.subtract.at(div, i_idx, phi)
-        y = -div[idx_int]
+        y = -m[idx_int] * edgecalc.edge_div(phi, i_idx, j_idx, m)[idx_int]
         fstar = float(y @ fc[idx_int]) + 0.5 * float(np.sum(y * y / m[idx_int]))
         gstar = float(np.sum((sigma * w) ** (1.0 - q) * np.abs(phi) ** q)) / q
         dval = -fstar - gstar

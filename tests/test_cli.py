@@ -2,6 +2,7 @@ import csv
 import os
 
 import numpy as np
+import pytest
 import yaml
 
 import nlspec as nl
@@ -138,6 +139,25 @@ class TestFlowRun:
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         assert manifest["seed"] == 99
         assert manifest["seed_from_env"] is True
+
+
+class TestFlagOrder:
+    @pytest.mark.parametrize("after_run", [True, False])
+    def test_run_flags_either_side_of_run(self, tmp_path, after_run):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "c.yaml", flow_config(tmp_path / "unused"))
+        flags = ["--strict", "--output-dir", str(out)]
+        argv = ["run", p] + flags if after_run else flags + ["run", p]
+        assert cli.main(argv) == 0
+        assert (out / "manifest.yaml").exists()
+        assert not (tmp_path / "unused").exists()
+
+    def test_usage_error_exits_1(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", flow_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", p, "--no-such-flag"])
+        assert exc.value.code == 1
+        assert "--no-such-flag" in capsys.readouterr().err
 
 
 class TestPowerRun:

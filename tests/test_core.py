@@ -232,6 +232,20 @@ class TestDualBall:
         assert nl.dual_ball_membership(F, np.array([1.0, -1.0]))
         assert not nl.dual_ball_membership(F, np.array([1.5, -1.5]))
 
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    @pytest.mark.parametrize("spec", [
+        nl.GridSpec(width=7),
+        nl.GridSpec(width=4, height=3, spacing=0.5, boundary_mode="dirichlet"),
+    ], ids=["path7", "grid4x3_dirichlet"])
+    def test_prox_subgradient_inside_scaled_outside(self, kind, spec):
+        # zeta = (f - prox(f))/sigma lies in K_J; scaled by 1.5 it leaves it
+        F = nl.make_functional(kind, nl.build_grid_graph(spec))
+        f = np.random.default_rng(3).standard_normal(F.dim)
+        sol = nl.prox(F, f, 0.05, tol=1e-12)
+        assert sol.converged
+        assert nl.dual_ball_membership(F, sol.zeta, tol=1e-6)
+        assert not nl.dual_ball_membership(F, 1.5 * sol.zeta, tol=1e-6)
+
     def test_degree2_unsupported(self):
         F = nl.make_functional("quadratic_form", matrix=np.eye(2))
         with pytest.raises(errors.UnsupportedFunctional):

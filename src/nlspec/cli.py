@@ -99,10 +99,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def build_domain(cfg) -> core.WeightedGraph:
+def build_domain(cfg):
+    """(graph, grid spec) of the config's domain; (None, None) without one."""
     dsec = cfg.get("domain")
     if dsec is None:
-        return None
+        return None, None
     if "grid" in dsec:
         g = dict(dsec["grid"])
         spec = functionals.GridSpec(width=int(g["width"]),
@@ -112,12 +113,9 @@ def build_domain(cfg) -> core.WeightedGraph:
         return functionals.build_grid_graph(spec), spec
     if "edges" not in dsec or "n" not in dsec:
         raise ConfigError("domain: need either grid or explicit n + edges")
-    edges = tuple((int(i), int(j), float(w)) for (i, j, w) in dsec["edges"])
-    measure = dsec.get("node_measure")
-    graph = core.WeightedGraph(
-        n=int(dsec["n"]), edges=edges,
-        boundary=frozenset(int(b) for b in dsec.get("boundary", [])),
-        node_measure=None if measure is None else np.asarray(measure, float))
+    graph = core.WeightedGraph(n=int(dsec["n"]), edges=dsec["edges"],
+                               boundary=dsec.get("boundary", ()),
+                               node_measure=dsec.get("node_measure"))
     return graph, None
 
 
@@ -256,8 +254,7 @@ def cmd_run(args) -> int:
         "signal_scaling": {},
         "warnings": [],
     }
-    domain = build_domain(cfg)
-    graph, grid_spec = (domain if domain is not None else (None, None))
+    graph, grid_spec = build_domain(cfg)
     F = build_functional(cfg, graph)
     opts = cfg.get("options", {}) or {}
     command = cfg["command"]
@@ -443,7 +440,7 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="run the built-in invariant suite")
     p_val.add_argument("--filter", default=None,
-                       help="only report checks whose name contains this string")
+                       help="only run checks whose name contains this string")
     p_val.set_defaults(fn=cmd_validate)
 
     p_cmp = sub.add_parser("compare", help="compare two trace CSV files")

@@ -48,99 +48,117 @@ def as_signal(values, n: Optional[int] = None) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+def node_measure_array(node_measure, n: int) -> np.ndarray:
+    """Ones without a measure; else the measure, checked finite, positive, length n."""
+    if node_measure is None:
+        return np.ones(n)
+    try:
+        m = np.asarray(node_measure, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"node_measure must be numeric: {exc}") from exc
+    if m.shape != (n,) or not np.all((0 < m) & (m < np.inf)):
+        raise BadParams(f"node_measure must be finite, positive and of length {n}")
+    return m
+
+
 class WeightedGraph:
-    """Undirected weighted graph with an optional Dirichlet boundary set."""
+    """Undirected weighted graph with an optional Dirichlet boundary set.
 
-    n: int
-    edges: tuple  # of (i, j, w) with 0 <= i < j < n, w > 0
-    boundary: frozenset = frozenset()
-    node_measure: np.ndarray = None
+    `edges` is an (E, 3) sequence or array of (i, j, w) with integer
+    0 <= i < j < n and finite w > 0.  It is stored only as the arrays of
+    `edge_arrays`; the `edges` property derives the triples from them.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "boundary", "node_measure", "_i", "_j", "_w", "_interior")
+
+    def __init__(self, n: int, edges, boundary=frozenset(), node_measure=None):
+        if n < 1:
             raise BadParams("graph needs at least one node")
-        seen = set()
-        for (i, j, w) in self.edges:
-            if not (0 <= i < j < self.n):
-                raise BadParams(f"bad edge ({i},{j}): need 0 <= i < j < n")
-            if (i, j) in seen:
-                raise BadParams(f"duplicate edge ({i},{j})")
-            if not w > 0:
-                raise BadParams(f"edge ({i},{j}) has non-positive weight {w}")
-            seen.add((i, j))
-        for b in self.boundary:
-            if not (0 <= b < self.n):
-                raise BadParams(f"boundary node {b} out of range")
-        if self.node_measure is None:
-            object.__setattr__(self, "node_measure", np.ones(self.n))
-        else:
-            m = np.asarray(self.node_measure, dtype=float)
-            if m.shape != (self.n,) or not np.all(m > 0):
-                raise BadParams("node_measure must be positive and of length n")
-            object.__setattr__(self, "node_measure", m)
-        if not self._connected():
+        m = node_measure_array(node_measure, n)
+        try:
+            e = np.asarray(edges, dtype=float)
+            b = np.fromiter(boundary, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"edges must be (i, j, w) triples and boundary "
+                            f"node indices: {exc}") from exc
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise BadParams(f"edges must have shape (E, 3), got {e.shape}")
+        if not (np.isfinite(e).all() and np.isfinite(b).all()):
+            raise BadParams("edges and boundary must be finite")
+        i, j = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+        bi = b.astype(np.int64)
+        ok = (i == e[:, 0]) & (j == e[:, 1]) & (0 <= i) & (i < j) & (j < n)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise BadParams(f"bad edge {e[k, :2].tolist()}: need integers 0 <= i < j < n")
+        if not (e[:, 2] > 0).all():
+            raise BadParams(f"edge weights must be positive, got {e[:, 2].min()}")
+        key = np.sort(i * n + j)
+        if (key[1:] == key[:-1]).any():
+            raise BadParams("duplicate edge")
+        if not ((bi == b) & (0 <= bi) & (bi < n)).all():
+            raise BadParams(f"boundary nodes must be integers in [0, {n})")
+        if not _connected(n, i, j):
             raise BadParams("graph is not connected")
-        i_idx = np.array([e[0] for e in self.edges], dtype=int)
-        j_idx = np.array([e[1] for e in self.edges], dtype=int)
-        w = np.array([e[2] for e in self.edges], dtype=float)
-        interior = np.ones(self.n, dtype=bool)
-        for b in self.boundary:
-            interior[b] = False
-        object.__setattr__(self, "_i_idx", i_idx)
-        object.__setattr__(self, "_j_idx", j_idx)
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_interior", interior)
+        interior = np.ones(n, dtype=bool)
+        interior[bi] = False
+        self.n = n
+        self.boundary = frozenset(bi.tolist())
+        self.node_measure = m
+        self._i, self._j, self._w = i, j, e[:, 2].copy()
+        self._interior = interior
 
-    def _connected(self) -> bool:
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j, _) in self.edges:
-            parent[find(i)] = find(j)
-        roots = {find(i) for i in range(self.n)}
-        return len(roots) == 1
+    @property
+    def edges(self) -> tuple:
+        """(i, j, w) triples, derived from `edge_arrays` on each access."""
+        return tuple(zip(self._i.tolist(), self._j.tolist(), self._w.tolist()))
 
     @property
     def edge_arrays(self):
-        return self._i_idx, self._j_idx, self._w
+        return self._i, self._j, self._w
 
     @property
     def interior_mask(self) -> np.ndarray:
         return self._interior
 
 
-@dataclass(frozen=True)
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Hook-and-jump union-find (Shiloach & Vishkin, J. Algorithms 1982).
+
+    Every node points to a smaller or equal index, so pointer jumping ends at
+    one root per component: the smallest index in it.
+    """
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        if (ri == rj).all():
+            return not root.any()
+        np.minimum.at(root, ri, rj)
+        np.minimum.at(root, rj, ri)
+        jumped = root[root]
+        while (jumped != root).any():
+            root, jumped = jumped, jumped[jumped]
+
+
+@dataclass(frozen=True, eq=False)
 class FunctionalHandle:
-    """Descriptor of a p-homogeneous convex functional."""
+    """Descriptor of a p-homogeneous convex functional (equal only to itself)."""
 
     kind: str
     degree: float
+    measure: np.ndarray  # node measure m_i of every inner product
     graph: Optional[WeightedGraph] = None
     matrix: Optional[np.ndarray] = None
     p: Optional[float] = None
-    node_measure: Optional[np.ndarray] = None  # for l1/linf on plain vectors
-    n: int = 0
     # spectral data of quadratic forms, filled at construction
     _quad_eigvals: Optional[np.ndarray] = field(default=None, repr=False)
     _quad_eigvecs: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
-    def measure(self) -> np.ndarray:
-        if self.graph is not None:
-            return self.graph.node_measure
-        if self.node_measure is not None:
-            return self.node_measure
-        return np.ones(self.n)
-
-    @property
     def dim(self) -> int:
-        return self.graph.n if self.graph is not None else self.n
+        return len(self.measure)
 
     @property
     def has_boundary(self) -> bool:

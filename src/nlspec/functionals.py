@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightedGraph, FunctionalHandle, GRAPH_KINDS, norm
+from .core import (WeightedGraph, FunctionalHandle, GRAPH_KINDS,
+                   node_measure_array)
 from .errors import BadParams
 
 
@@ -46,32 +47,23 @@ def build_grid_graph(spec: GridSpec) -> WeightedGraph:
     rows, cols = spec.lattice_shape
     h = spec.spacing
     dim = 1 if spec.height == 1 else 2
+    node = np.arange(rows * cols)
+    r, c = np.divmod(node, cols)
+    # row-major over nodes, each node's right then lower neighbor: the FISTA
+    # iterates depend on this order through edge_div and grad_div_opnorm
+    i, down = np.nonzero(np.column_stack((c + 1 < cols, r + 1 < rows)))
+    j = i + np.where(down, cols, 1)
+    edges = np.column_stack((i, j, np.full(len(i), 1.0 / h)))
 
-    def idx(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1), 1.0 / h))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c), 1.0 / h))
-
-    boundary = set()
+    boundary = ()
     if spec.boundary_mode == "dirichlet":
-        if spec.height == 1:
-            boundary = {0, cols - 1}
-        else:
-            for r in range(rows):
-                for c in range(cols):
-                    if r in (0, rows - 1) or c in (0, cols - 1):
-                        boundary.add(idx(r, c))
+        ring = (c == 0) | (c == cols - 1)
+        if rows > 1:
+            ring |= (r == 0) | (r == rows - 1)
+        boundary = node[ring]
 
-    n = rows * cols
-    measure = np.full(n, h ** dim)
-    return WeightedGraph(n=n, edges=tuple(edges), boundary=frozenset(boundary),
-                         node_measure=measure)
+    return WeightedGraph(n=rows * cols, edges=edges, boundary=boundary,
+                         node_measure=np.full(rows * cols, h ** dim))
 
 
 def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
@@ -90,21 +82,18 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         else:
             p = None
             degree = 1.0
-        return FunctionalHandle(kind=kind, degree=degree, graph=graph, p=p)
+        return FunctionalHandle(kind=kind, degree=degree,
+                                measure=graph.node_measure, graph=graph, p=p)
 
     if kind in ("l1", "linf"):
-        if n is None and node_measure is None and graph is None:
-            raise BadParams(f"{kind} requires a dimension")
         if graph is not None:
-            n = graph.n
-            node_measure = graph.node_measure
-        if node_measure is not None:
-            node_measure = np.asarray(node_measure, dtype=float)
-            n = len(node_measure) if n is None else n
-            if node_measure.shape != (n,) or not np.all(node_measure > 0):
-                raise BadParams("node_measure must be positive and match n")
-        return FunctionalHandle(kind=kind, degree=1.0, n=int(n),
-                                node_measure=node_measure)
+            m = graph.node_measure
+        elif n is None and node_measure is None:
+            raise BadParams(f"{kind} requires a dimension")
+        else:
+            m = node_measure_array(node_measure,
+                                   len(node_measure) if n is None else int(n))
+        return FunctionalHandle(kind=kind, degree=1.0, measure=m)
 
     if kind == "quadratic_form":
         if matrix is None:
@@ -115,32 +104,24 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         scale = max(float(np.max(np.abs(A))), 1.0)
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise BadParams("quadratic_form matrix must be symmetric")
-        nn = A.shape[0]
-        if node_measure is not None:
-            m = np.asarray(node_measure, dtype=float)
-            if m.shape != (nn,) or not np.all(m > 0):
-                raise BadParams("node_measure must be positive and match the matrix")
-        else:
-            m = np.ones(nn)
+        m = node_measure_array(node_measure, A.shape[0])
         # generalized spectrum A v = lam * M v, via symmetric rescaling
         s = np.sqrt(m)
         vals, vecs = np.linalg.eigh(A / np.outer(s, s))
         if vals[0] < -1e-10 * scale:
             raise BadParams(f"quadratic_form matrix is not PSD (min eigenvalue {vals[0]})")
         vecs = vecs / s[:, None]  # columns m-orthonormal
-        return FunctionalHandle(kind="quadratic_form", degree=2.0, matrix=A,
-                                n=nn, node_measure=node_measure,
-                                _quad_eigvals=vals, _quad_eigvecs=vecs)
+        return FunctionalHandle(kind="quadratic_form", degree=2.0, measure=m,
+                                matrix=A, _quad_eigvals=vals, _quad_eigvecs=vecs)
 
     raise BadParams(f"unknown functional kind {kind!r}")
 
 
 def laplacian_matrix(graph: WeightedGraph) -> np.ndarray:
     """Graph Laplacian L with 0.5*<Lu,u> = dirichlet_p(u) at p=2."""
+    i, j, w = graph.edge_arrays
     L = np.zeros((graph.n, graph.n))
-    for (i, j, w) in graph.edges:
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
+    L[i, j] = L[j, i] = -w
+    np.add.at(L, (i, i), w)
+    np.add.at(L, (j, j), w)
     return L

@@ -1,8 +1,9 @@
 """Built-in invariant suite.
 
-Each check is a named pure function returning a CheckResult; the CLI
-`validate` command runs them all (optionally filtered by substring) and
-prints a pass/fail table.  The checks mirror the library's documented
+Each check is a pure function registered under its name by `@check` and
+returning (passed, detail); `run_suite` calls the checks whose name contains
+an optional substring, and the CLI `validate` command prints a pass/fail
+table of the results.  The checks mirror the library's documented
 invariants: homogeneity, convexity, prox optimality and nonexpansiveness,
 flow monotonicity and mass conservation, power-method well-definedness,
 and the oracle self-consistency properties.
@@ -26,8 +27,16 @@ class CheckResult:
     detail: str
 
 
-def _result(name, passed, detail=""):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+#: (name, check) pairs in run order; each check returns (passed, detail)
+CHECKS = []
+
+
+def check(name):
+    """Register the decorated function as the check called `name`."""
+    def register(fn):
+        CHECKS.append((name, fn))
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +70,7 @@ def _worst(fails):
 # core invariants
 
 
+@check("core.homogeneity")
 def check_homogeneity():
     rng = np.random.default_rng(11)
     fails = []
@@ -72,9 +82,10 @@ def check_homogeneity():
                 err = abs(core.evaluate(F, t * u) - abs(t) ** F.degree * Ju)
                 if err > 1e-10 * (1.0 + Ju):
                     fails.append(f"{name} t={t} err={err:.2e}")
-    return _result("core.homogeneity", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.nonnegativity")
 def check_nonnegativity():
     rng = np.random.default_rng(12)
     fails = []
@@ -82,9 +93,10 @@ def check_nonnegativity():
         for _ in range(20):
             if core.evaluate(F, rng.standard_normal(F.dim)) < 0:
                 fails.append(name)
-    return _result("core.nonnegativity", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.nullspace_invariance")
 def check_nullspace_invariance():
     rng = np.random.default_rng(13)
     fails = []
@@ -97,9 +109,10 @@ def check_nullspace_invariance():
             err = abs(core.evaluate(F, u + 3.7) - Ju)
             if err > 1e-10 * (1.0 + Ju):
                 fails.append(f"{name} err={err:.2e}")
-    return _result("core.nullspace_invariance", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.projection_orthogonality")
 def check_projection_orthogonality():
     rng = np.random.default_rng(14)
     fails = []
@@ -112,9 +125,10 @@ def check_projection_orthogonality():
                 ip = abs(core.inner(r, B[:, k], F.measure))
                 if ip > 1e-12 * (1.0 + np.linalg.norm(u)):
                     fails.append(f"{name} ip={ip:.2e}")
-    return _result("core.projection_orthogonality", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.rayleigh_scale_invariance")
 def check_rayleigh_scale_invariance():
     rng = np.random.default_rng(15)
     fails = []
@@ -129,9 +143,10 @@ def check_rayleigh_scale_invariance():
                 err = abs(core.rayleigh(F, t * u) - r1)
                 if err > 1e-10 * (1.0 + abs(r1)):
                     fails.append(f"{name} t={t} err={err:.2e}")
-    return _result("core.rayleigh_scale_invariance", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.min_norm_subgradient")
 def check_min_norm_subgradient():
     cat = _catalog()
     rng = np.random.default_rng(16)
@@ -146,9 +161,10 @@ def check_min_norm_subgradient():
             er = core.euler_residual(F, u, z)
             if er > 1e-12 * (1.0 + core.evaluate(F, u)):
                 fails.append(f"{name} euler={er:.2e}")
-    return _result("core.min_norm_subgradient", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("core.min_norm_minimality")
 def check_min_norm_minimality():
     cat = _catalog()
     rng = np.random.default_rng(17)
@@ -180,13 +196,14 @@ def check_min_norm_minimality():
             fails.append(f"linf sample not a subgradient ({er:.2e})")
         if core.norm(eta, m) < nmin - 1e-12:
             fails.append("linf minimality")
-    return _result("core.min_norm_minimality", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
 # ---------------------------------------------------------------------------
 # functional catalog invariants
 
 
+@check("functionals.convexity")
 def check_convexity():
     rng = np.random.default_rng(21)
     fails = []
@@ -198,9 +215,10 @@ def check_convexity():
             rhs = 0.5 * core.evaluate(F, u) + 0.5 * core.evaluate(F, v)
             if lhs > rhs + 1e-12 * (1.0 + rhs):
                 fails.append(f"{name} gap={lhs - rhs:.2e}")
-    return _result("functionals.convexity", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("functionals.dirichlet2_equals_quadratic")
 def check_dirichlet2_is_quadratic():
     g = functionals.build_grid_graph(functionals.GridSpec(width=5))
     Fd = functionals.make_functional("dirichlet_p", g, p=2.0)
@@ -211,10 +229,10 @@ def check_dirichlet2_is_quadratic():
     for _ in range(100):
         u = rng.standard_normal(g.n)
         worst = max(worst, abs(core.evaluate(Fd, u) - core.evaluate(Fq, u)))
-    return _result("functionals.dirichlet2_equals_quadratic", worst <= 1e-12 * 100,
-                   f"max dev {worst:.2e}")
+    return worst <= 1e-12 * 100, f"max dev {worst:.2e}"
 
 
+@check("functionals.tv_equals_dirichlet1")
 def check_tv_is_dirichlet1():
     g = functionals.build_grid_graph(functionals.GridSpec(width=5))
     Ftv = functionals.make_functional("graph_tv", g)
@@ -224,10 +242,10 @@ def check_tv_is_dirichlet1():
     for _ in range(100):
         u = rng.standard_normal(g.n)
         worst = max(worst, abs(core.evaluate(Ftv, u) - core.evaluate(F1, u)))
-    return _result("functionals.tv_equals_dirichlet1", worst == 0.0,
-                   f"max dev {worst:.2e}")
+    return worst == 0.0, f"max dev {worst:.2e}"
 
 
+@check("functionals.lipschitz_distance")
 def check_lipschitz_distance_properties():
     g = functionals.build_grid_graph(
         functionals.GridSpec(width=9, boundary_mode="dirichlet"))
@@ -245,13 +263,14 @@ def check_lipschitz_distance_properties():
         bound = np.max(np.abs(u[interior]) / d[interior])
         if lip < bound - 1e-12:
             fails.append(f"lip {lip:.3e} < |u|/d {bound:.3e}")
-    return _result("functionals.lipschitz_distance", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
 # ---------------------------------------------------------------------------
 # prox invariants
 
 
+@check("prox.nonexpansive")
 def check_prox_nonexpansive():
     rng = np.random.default_rng(31)
     tol = 1e-10
@@ -268,9 +287,10 @@ def check_prox_nonexpansive():
             rhs = core.norm(a - b, m)
             if lhs > rhs + 1e-6:
                 fails.append(f"{name} {lhs - rhs:.2e}")
-    return _result("prox.nonexpansive", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("prox.optimality_certificate")
 def check_prox_optimality():
     rng = np.random.default_rng(32)
     fails = []
@@ -289,9 +309,10 @@ def check_prox_optimality():
                 gap = jw + core.inner(zeta, v - u, F.measure) - core.evaluate(F, v)
                 if gap > 1e-5 * (1.0 + jw):
                     fails.append(f"{name} gap={gap:.2e}")
-    return _result("prox.optimality_certificate", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("prox.nullspace_equivariance")
 def check_prox_nullspace_equivariance():
     rng = np.random.default_rng(33)
     fails = []
@@ -305,9 +326,10 @@ def check_prox_nullspace_equivariance():
             dev = core.norm(u2 - (u1 + 2.5), F.measure)
             if dev > 1e-7:
                 fails.append(f"{name} dev={dev:.2e}")
-    return _result("prox.nullspace_equivariance", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("prox.mass_conservation")
 def check_prox_mass_conservation():
     rng = np.random.default_rng(34)
     fails = []
@@ -319,9 +341,10 @@ def check_prox_mass_conservation():
                             - core.project_nullspace(F, f), F.measure)
             if dev > 1e-10:
                 fails.append(f"{name} dev={dev:.2e}")
-    return _result("prox.mass_conservation", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("prox.oracle_equivalence")
 def check_prox_oracle_equivalence():
     rng = np.random.default_rng(35)
     path3 = functionals.build_grid_graph(functionals.GridSpec(width=3))
@@ -346,9 +369,10 @@ def check_prox_oracle_equivalence():
             dev = float(np.max(np.abs(u - ub)))
             if dev > 1e-3:
                 fails.append(f"{name} dev={dev:.2e}")
-    return _result("prox.oracle_equivalence", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("prox.continuity_in_sigma")
 def check_prox_continuity():
     rng = np.random.default_rng(36)
     fails = []
@@ -364,7 +388,7 @@ def check_prox_continuity():
             prev_dev = dev
         if prev_dev > 1e-2:
             fails.append(f"{name} final dev={prev_dev:.2e}")
-    return _result("prox.continuity_in_sigma", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +409,7 @@ def _flow_cases():
     return cases
 
 
+@check("flow.invariants")
 def check_flow_invariants():
     fails = []
     for F, f, tau in _flow_cases():
@@ -413,9 +438,10 @@ def check_flow_invariants():
         dec = flow.decompose(tr)
         if dec["reconstruction_residual"] > 1e-10 + tr.prox_gap_total:
             fails.append(f"{F.kind} reconstruction {dec['reconstruction_residual']:.2e}")
-    return _result("flow.invariants", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("flow.eigenvector_invariance")
 def check_flow_eigenvector_invariance():
     g2 = core.WeightedGraph(n=2, edges=((0, 1, 1.0),))
     F = functionals.make_functional("graph_tv", g2)
@@ -435,13 +461,14 @@ def check_flow_eigenvector_invariance():
             dev = core.norm((u - tr.u_infinity) / d - w0, F.measure)
             if dev > 1e-8:
                 fails.append(f"profile drift {dev:.2e}")
-    return _result("flow.eigenvector_invariance", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
 # ---------------------------------------------------------------------------
 # power invariants
 
 
+@check("power.invariants")
 def check_power_invariants():
     rng = np.random.default_rng(51)
     fails = []
@@ -471,9 +498,10 @@ def check_power_invariants():
                 # ||v|| - <v,w> <= tol gives ||v - mu*w|| <= sqrt(2*mu*tol)
                 if pair.converged and pair.residual > math.sqrt(40.0 * 1e-12):
                     fails.append(f"{name}/{rule}/{c} residual {pair.residual:.2e}")
-    return _result("power.invariants", not fails, _worst(fails))
+    return not fails, _worst(fails)
 
 
+@check("power.lambda_vs_dense_oracle")
 def check_power_vs_dense_oracle():
     g = functionals.build_grid_graph(functionals.GridSpec(width=6))
     L = functionals.laplacian_matrix(g)
@@ -486,14 +514,14 @@ def check_power_vs_dense_oracle():
     v1 = spec.eigenvectors[:, 1]
     cos = abs(core.inner(out["best"].w, v1 / np.linalg.norm(v1), F.measure))
     ok = rel <= 1e-8 and cos >= 1.0 - 1e-8
-    return _result("power.lambda_vs_dense_oracle", ok,
-                   f"rel={rel:.2e} cos={cos:.12f}")
+    return ok, f"rel={rel:.2e} cos={cos:.12f}"
 
 
 # ---------------------------------------------------------------------------
 # oracle invariants
 
 
+@check("oracles.jacobi_reconstruction")
 def check_jacobi_reconstruction():
     rng = np.random.default_rng(61)
     A = rng.standard_normal((12, 12))
@@ -505,10 +533,10 @@ def check_jacobi_reconstruction():
     res = max(np.linalg.norm(A @ V[:, i] - lam[i] * V[:, i]) for i in range(12))
     ok = (rec <= 1e-9 * np.linalg.norm(A) and ortho <= 1e-10
           and res <= 1e-10 * np.linalg.norm(A))
-    return _result("oracles.jacobi_reconstruction", ok,
-                   f"rec={rec:.2e} ortho={ortho:.2e} res={res:.2e}")
+    return ok, f"rec={rec:.2e} ortho={ortho:.2e} res={res:.2e}"
 
 
+@check("oracles.heat_semigroup")
 def check_heat_semigroup():
     g = functionals.build_grid_graph(functionals.GridSpec(width=6))
     spec = oracles.dense_symmetric_eigs(functionals.laplacian_matrix(g))
@@ -518,9 +546,10 @@ def check_heat_semigroup():
     u_t = oracles.linear_heat_solution(spec, f, 0.3)
     u_t_s = oracles.linear_heat_solution(spec, u_t, 0.4)
     dev = float(np.max(np.abs(u_ts - u_t_s)))
-    return _result("oracles.heat_semigroup", dev <= 1e-10, f"dev={dev:.2e}")
+    return dev <= 1e-10, f"dev={dev:.2e}"
 
 
+@check("oracles.distance_eikonal")
 def check_distance_eikonal():
     g = functionals.build_grid_graph(
         functionals.GridSpec(width=5, height=4, spacing=0.5,
@@ -536,9 +565,10 @@ def check_distance_eikonal():
             continue
         best = min(d[nb] + ln for (nb, ln) in adj[node])
         worst = max(worst, abs(best - d[node]))
-    return _result("oracles.distance_eikonal", worst <= 1e-12, f"dev={worst:.2e}")
+    return worst <= 1e-12, f"dev={worst:.2e}"
 
 
+@check("oracles.profile_ode")
 def check_profile_ode():
     h = 1e-6
     worst = 0.0
@@ -551,56 +581,27 @@ def check_profile_ode():
             da = (a_p - a_m) / (h + min(t, h))
             a = oracles.eigen_profile(lam, p, t)
             worst = max(worst, abs(da + lam * a ** (p - 1.0)))
-    return _result("oracles.profile_ode", worst <= 1e-4, f"res={worst:.2e}")
+    return worst <= 1e-4, f"res={worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
 # serialization invariant (round-trip of the CSV number format)
 
 
+@check("cli.float_roundtrip")
 def check_float_roundtrip():
     rng = np.random.default_rng(71)
     xs = np.concatenate([rng.standard_normal(50),
                          10.0 ** rng.uniform(-300, 300, 20)])
     bad = sum(1 for x in xs if float(f"{x:.17g}") != x)
-    return _result("cli.float_roundtrip", bad == 0, f"{bad} non-roundtrip values")
-
-
-ALL_CHECKS = [
-    check_homogeneity,
-    check_nonnegativity,
-    check_nullspace_invariance,
-    check_projection_orthogonality,
-    check_rayleigh_scale_invariance,
-    check_min_norm_subgradient,
-    check_min_norm_minimality,
-    check_convexity,
-    check_dirichlet2_is_quadratic,
-    check_tv_is_dirichlet1,
-    check_lipschitz_distance_properties,
-    check_prox_nonexpansive,
-    check_prox_optimality,
-    check_prox_nullspace_equivariance,
-    check_prox_mass_conservation,
-    check_prox_oracle_equivalence,
-    check_prox_continuity,
-    check_flow_invariants,
-    check_flow_eigenvector_invariance,
-    check_power_invariants,
-    check_power_vs_dense_oracle,
-    check_jacobi_reconstruction,
-    check_heat_semigroup,
-    check_distance_eikonal,
-    check_profile_ode,
-    check_float_roundtrip,
-]
+    return bad == 0, f"{bad} non-roundtrip values"
 
 
 def run_suite(name_filter: str = None):
+    """Run the checks whose name contains `name_filter`; all without one."""
     results = []
-    for fn in ALL_CHECKS:
-        r = fn()
-        if name_filter and name_filter not in r.name:
-            continue
-        results.append(r)
+    for name, fn in CHECKS:
+        if not name_filter or name_filter in name:
+            passed, detail = fn()
+            results.append(CheckResult(name, bool(passed), detail))
     return results

@@ -199,6 +199,36 @@ class TestOracleRun:
         assert (out / "oracle.csv").exists()
 
 
+class TestExplicitGraph:
+    def test_readme_domain_runs_oracle(self, tmp_path):
+        out = tmp_path / "out"
+        p = write_config(tmp_path / "c.yaml", {
+            "functional": {"kind": "lipschitz_sup"},
+            "domain": {"n": 3, "edges": [[0, 1, 2.0], [1, 2, 0.5]],
+                       "boundary": [0]},
+            "command": "oracle",
+            "output_dir": str(out),
+        })
+        assert cli.main(["run", p]) == 0
+        d = np.loadtxt(out / "signals" / "distance.txt")[:, 1]
+        assert np.array_equal(d, [0.0, 0.5, 2.5])
+
+    def test_malformed_edges_exit_1_without_traceback(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", {
+            "functional": {"kind": "graph_tv"},
+            "domain": {"n": 3, "edges": [[0, 1], [1, 2, 1.0]]},
+            "command": "oracle",
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert cli.main(["run", p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_no_domain_is_a_none_pair(self):
+        cfg = {"functional": {"kind": "l1", "n": 2}, "command": "flow"}
+        assert cli.build_domain(cfg) == (None, None)
+
+
 class TestCompare:
     def _write_trace(self, tmp_path, name, lam_perturb=0.0):
         out = tmp_path / name
@@ -242,3 +272,17 @@ class TestValidateCommand:
         assert rc == 0
         assert "oracles.jacobi_reconstruction" in out
         assert "prox.nonexpansive" not in out
+
+    def test_filter_skips_before_calling(self, monkeypatch, capsys):
+        from nlspec import validation
+        called = []
+
+        def spy(name):
+            return lambda: called.append(name) or (True, "ok")
+
+        monkeypatch.setattr(validation, "CHECKS", [
+            ("oracles.kept", spy("oracles.kept")),
+            ("prox.skipped", spy("prox.skipped"))])
+        assert cli.main(["validate", "--filter", "oracles."]) == 0
+        assert called == ["oracles.kept"]
+        assert "1/1 checks passed" in capsys.readouterr().out

@@ -38,6 +38,66 @@ class TestWeightedGraph:
             nl.WeightedGraph(n=2, edges=((0, 1, 1.0),),
                              node_measure=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [1, 2, 1.0]],            # ragged
+        np.ones((2, 2)),                  # (E, 2)
+        [0, 1, 1.0],                      # one flat triple
+    ], ids=["ragged", "two_columns", "flat"])
+    def test_rejects_edges_not_e_by_3(self, edges):
+        with pytest.raises(errors.BadParams):
+            nl.WeightedGraph(n=3, edges=edges)
+
+    @pytest.mark.parametrize("edges,boundary", [
+        (((0.5, 1, 1.0), (1, 2, 1.0)), ()),   # non-integer edge index
+        (((0, 1, 1.0), (1, 3, 1.0)), ()),     # edge index out of range
+        (((0, 1, 1.0), (1, 2, 1.0)), (3,)),   # boundary out of range
+        (((0, 1, 1.0), (1, 2, 1.0)), (-1,)),  # negative boundary
+        (((0, 1, 1.0), (1, 2, 1.0)), (0.5,)),  # non-integer boundary
+    ], ids=["edge_fraction", "edge_range", "boundary_range",
+            "boundary_negative", "boundary_fraction"])
+    def test_rejects_bad_indices(self, edges, boundary):
+        with pytest.raises(errors.BadParams):
+            nl.WeightedGraph(n=3, edges=edges, boundary=boundary)
+
+    @pytest.mark.parametrize("w", [np.inf, np.nan, -1.0])
+    def test_rejects_nonfinite_weight(self, w):
+        with pytest.raises(errors.BadParams):
+            nl.WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, w)))
+
+    def test_edges_stored_once_as_arrays(self):
+        triples = ((0, 1, 2.0), (1, 2, 0.5), (0, 2, 1.0))
+        g = nl.WeightedGraph(n=3, edges=triples, boundary=[2])
+        for arr, dtype in zip(g.edge_arrays, (np.int64, np.int64, np.float64)):
+            assert arr.dtype == dtype and arr.flags.c_contiguous
+        assert g.edges == triples
+        assert all(type(i) is int and type(w) is float for (i, _, w) in g.edges)
+        assert g.boundary == frozenset({2})
+        assert not hasattr(g, "__dict__")
+        h = nl.WeightedGraph(3, np.array(triples), frozenset({2}))
+        for a, b in zip(g.edge_arrays, h.edge_arrays):
+            assert np.array_equal(a, b)
+
+    def test_connectivity_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            pairs = {tuple(sorted(rng.choice(n, 2, replace=False)))
+                     for _ in range(int(rng.integers(0, 2 * n)))} if n > 1 else set()
+            edges = sorted((int(i), int(j), 1.0) for (i, j) in pairs)
+            reached, frontier = {0}, [0]
+            while frontier:   # breadth-first search from node 0
+                k = frontier.pop()
+                for (i, j, _) in edges:
+                    for a, b in ((i, j), (j, i)):
+                        if a == k and b not in reached:
+                            reached.add(b)
+                            frontier.append(b)
+            if len(reached) == n:
+                nl.WeightedGraph(n=n, edges=edges)
+            else:
+                with pytest.raises(errors.BadParams, match="not connected"):
+                    nl.WeightedGraph(n=n, edges=edges)
+
 
 class TestEvaluate:
     def test_graph_tv_indicator(self):

@@ -40,7 +40,82 @@ class TestGridSpec:
             nl.GridSpec(width=2, boundary_mode="periodic")
 
 
+def reference_grid(spec):
+    """The lattice as a plain double loop: each node's right, then lower edge."""
+    rows, cols = spec.lattice_shape
+    h = spec.spacing
+    edges, boundary = [], set()
+    for r in range(rows):
+        for c in range(cols):
+            k = r * cols + c
+            if c + 1 < cols:
+                edges.append((k, k + 1, 1.0 / h))
+            if r + 1 < rows:
+                edges.append((k, k + cols, 1.0 / h))
+            ring = c in (0, cols - 1) or (rows > 1 and r in (0, rows - 1))
+            if spec.boundary_mode == "dirichlet" and ring:
+                boundary.add(k)
+    measure = np.full(rows * cols, h ** (1 if spec.height == 1 else 2))
+    return edges, boundary, measure
+
+
+def reference_laplacian(graph):
+    L = np.zeros((graph.n, graph.n))
+    for (i, j, w) in graph.edges:
+        L[i, i] += w
+        L[j, j] += w
+        L[i, j] -= w
+        L[j, i] -= w
+    return L
+
+
+class TestGridAndLaplacianPinned:
+    @pytest.mark.parametrize("mode", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    @pytest.mark.parametrize("width,height", [(1, 1), (5, 1), (1, 4), (4, 3)])
+    def test_grid_matches_double_loop(self, width, height, spacing, mode):
+        spec = nl.GridSpec(width=width, height=height, spacing=spacing,
+                           boundary_mode=mode)
+        g = nl.build_grid_graph(spec)
+        edges, boundary, measure = reference_grid(spec)
+        ref = [np.array([e[k] for e in edges], dtype=t)
+               for k, t in enumerate((np.int64, np.int64, np.float64))]
+        for got, want in zip(g.edge_arrays, ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert g.boundary == frozenset(boundary)
+        assert g.node_measure.dtype == measure.dtype
+        assert np.array_equal(g.node_measure, measure)
+        interior = np.array([k not in boundary for k in range(g.n)])
+        assert g.interior_mask.dtype == interior.dtype
+        assert np.array_equal(g.interior_mask, interior)
+        assert np.array_equal(nl.laplacian_matrix(g), reference_laplacian(g))
+
+    def test_laplacian_unequal_weights(self):
+        rng = np.random.default_rng(3)
+        n = 7
+        edges = [(i, i + 1, float(w)) for i, w in
+                 enumerate(rng.uniform(0.1, 3.0, n - 1))]
+        edges += [(0, 3, 0.7), (2, 6, 1.3), (1, 5, 2.9)]
+        g = nl.WeightedGraph(n=n, edges=edges)
+        L, ref = nl.laplacian_matrix(g), reference_laplacian(g)
+        assert np.max(np.abs(L - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.allclose(L.sum(axis=1), 0.0, atol=1e-14)
+
+
 class TestMakeFunctional:
+    def test_measure_stored_once(self):
+        g = nl.build_grid_graph(nl.GridSpec(width=3, spacing=0.5))
+        for F in (nl.make_functional("graph_tv", g), nl.make_functional("l1", g)):
+            assert F.measure is g.node_measure and F.dim == 3
+        F = nl.make_functional("linf", n=4)
+        assert F.measure is F.measure and F.dim == 4
+        assert np.array_equal(F.measure, np.ones(4))
+        Fq = nl.make_functional("quadratic_form", matrix=nl.laplacian_matrix(g))
+        assert Fq.measure is Fq.measure and np.array_equal(Fq.measure, np.ones(3))
+        # array fields: handles compare and hash by identity
+        assert F == F and F != nl.make_functional("linf", n=4)
+        assert len({F, Fq}) == 2
+
     def test_dirichlet_p_requires_p(self):
         g = nl.build_grid_graph(nl.GridSpec(width=3))
         with pytest.raises(errors.BadParams):

@@ -5,10 +5,11 @@ Subcommands:
   nlspec validate              run the built-in invariant suite
   nlspec compare <a> <b>       compare two trace CSV files column-wise
 
-Configs are YAML with a strict schema (unknown keys are rejected).  Every
-stochastic option carries an explicit seed; the NLSPEC_SEED environment
-variable overrides the config seed and is recorded in the manifest.  All
-numbers in CSV output use 17 significant digits so 64-bit floats round-trip.
+Configs are YAML with a strict schema that converts values and rejects unknown
+keys and options the command does not use.  Every stochastic option carries
+an explicit seed; the NLSPEC_SEED environment variable overrides the config
+seed and is recorded in the manifest.  All numbers in CSV output use 17
+significant digits so 64-bit floats round-trip.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -34,22 +36,75 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# strict config parsing
+# strict config parsing: each key maps to its converter or section (wrapped in
+# Required if it must be given) and names the library parameter it is passed to.
 
 
-def _require_mapping(obj, ctx):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
-    return obj
+@dataclass(frozen=True)
+class Required:
+    spec: object
 
 
-def _check_keys(d, allowed, required, ctx):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{ctx}: unknown key {key!r}")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{ctx}: missing required key {key!r}")
+def _bool(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+_FLOW_OPTIONS = {"tau": float, "max_steps": int, "time_horizon": float,
+                 "extinction_tol": float, "prox_tol": float, "store_iterates": _bool}
+# per command: the keyword arguments of its library call
+OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
+           "power": {"restarts": int, "c": float, "rule": str, "tol": float,
+                     "max_iter": int},
+           "oracle": {}, "validate": {}}
+SCHEMA = {
+    "functional": Required({"kind": Required(str), "p": float, "matrix": _floats,
+                            "node_measure": _floats, "n": int}),
+    "domain": {"grid": {"width": Required(int), "height": int, "spacing": float,
+                        "boundary_mode": str},
+               "n": int, "edges": list, "boundary": list,
+               "node_measure": _floats},
+    "input": {"values": _floats, "file": os.fspath,
+              "generator": {"name": Required(str), "nodes": _floats, "seed": int,
+                            "index": int}},
+    "command": Required(str),
+    "options": dict,  # the raw section is walked against OPTIONS[command]
+    "output_dir": os.fspath,
+    "seed": int,
+}
+
+
+def _convert(conv, value, path):
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _walk(section, table, path=""):
+    """`section` checked against `table` and converted; null reads as absent."""
+    where = path or "config"
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(section).__name__}")
+    for key, spec in table.items():
+        if isinstance(spec, Required) and section.get(key) is None:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    out = {}
+    for key, value in section.items():
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if value is None:
+            continue
+        spec = getattr(table[key], "spec", table[key])
+        sub = f"{path}.{key}" if path else str(key)
+        out[key] = _walk(value, spec, sub) if isinstance(spec, dict) \
+            else _convert(spec, value, sub)
+    return out
 
 
 def load_config(path: str) -> dict:
@@ -60,42 +115,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    cfg = _require_mapping(raw, "config")
-    _check_keys(cfg, allowed={"functional", "domain", "input", "command",
-                              "options", "output_dir", "seed"},
-                required={"functional", "command"}, ctx="config")
-    command = cfg["command"]
-    if command not in ("flow", "power", "decompose", "validate", "oracle"):
-        raise ConfigError(f"config: unknown command {command!r}")
-    fsec = _require_mapping(cfg["functional"], "functional")
-    _check_keys(fsec, allowed={"kind", "p", "matrix", "node_measure", "n"},
-                required={"kind"}, ctx="functional")
-    if "domain" in cfg:
-        dsec = _require_mapping(cfg["domain"], "domain")
-        _check_keys(dsec, allowed={"grid", "edges", "n", "boundary",
-                                   "node_measure"}, required=set(), ctx="domain")
-        if "grid" in dsec:
-            gsec = _require_mapping(dsec["grid"], "domain.grid")
-            _check_keys(gsec, allowed={"width", "height", "spacing",
-                                       "boundary_mode"},
-                        required={"width"}, ctx="domain.grid")
-    if "input" in cfg:
-        isec = _require_mapping(cfg["input"], "input")
-        _check_keys(isec, allowed={"values", "file", "generator"},
-                    required=set(), ctx="input")
-        if sum(k in isec for k in ("values", "file", "generator")) != 1:
-            raise ConfigError("input: give exactly one of values/file/generator")
-        if "generator" in isec:
-            gsec = _require_mapping(isec["generator"], "input.generator")
-            _check_keys(gsec, allowed={"name", "nodes", "seed", "index"},
-                        required={"name"}, ctx="input.generator")
+    cfg = _walk(raw, SCHEMA)
+    if cfg["command"] not in OPTIONS:
+        raise ConfigError(f"config: unknown command {cfg['command']!r}")
     if "options" in cfg:
-        osec = _require_mapping(cfg["options"], "options")
-        _check_keys(osec, allowed={"tau", "max_steps", "time_horizon",
-                                   "extinction_tol", "prox_tol", "tol",
-                                   "max_iter", "c", "rule", "restarts",
-                                   "lambda1_estimate", "store_iterates"},
-                    required=set(), ctx="options")
+        cfg["options"] = _walk(raw["options"], OPTIONS[cfg["command"]], "options")
+    if "input" in cfg and len(cfg["input"]) != 1:
+        raise ConfigError("input: give exactly one of values/file/generator")
     return cfg
 
 
@@ -105,36 +131,27 @@ def build_domain(cfg):
     if dsec is None:
         return None, None
     if "grid" in dsec:
-        g = dict(dsec["grid"])
-        spec = functionals.GridSpec(width=int(g["width"]),
-                                    height=int(g.get("height", 1)),
-                                    spacing=float(g.get("spacing", 1.0)),
-                                    boundary_mode=g.get("boundary_mode", "neumann"))
+        spec = functionals.GridSpec(**dsec["grid"])
         return functionals.build_grid_graph(spec), spec
     if "edges" not in dsec or "n" not in dsec:
         raise ConfigError("domain: need either grid or explicit n + edges")
-    graph = core.WeightedGraph(n=int(dsec["n"]), edges=dsec["edges"],
-                               boundary=dsec.get("boundary", ()),
-                               node_measure=dsec.get("node_measure"))
-    return graph, None
+    return core.WeightedGraph(**dsec), None
 
 
 def build_functional(cfg, graph):
-    fsec = cfg["functional"]
-    kind = fsec["kind"]
-    kwargs = {}
-    if "p" in fsec:
-        kwargs["p"] = float(fsec["p"])
-    if "matrix" in fsec:
-        kwargs["matrix"] = np.asarray(fsec["matrix"], dtype=float)
-    if "node_measure" in fsec:
-        kwargs["node_measure"] = np.asarray(fsec["node_measure"], dtype=float)
-    if "n" in fsec:
-        kwargs["n"] = int(fsec["n"])
-    try:
-        return functionals.make_functional(kind, graph, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"functional: {exc}") from exc
+    return functionals.make_functional(graph=graph, **cfg["functional"])
+
+
+def oracle_spectrum(F):
+    """The oracle eigendecomposition of F's matrix, or of its graph's Laplacian."""
+    if F.kind == "quadratic_form":
+        A = F.matrix
+    elif F.graph is not None:
+        A = functionals.laplacian_matrix(F.graph)
+    else:
+        raise ConfigError(f"the oracle needs a quadratic_form matrix or a graph "
+                          f"domain, not {F.kind}")
+    return oracles.dense_symmetric_eigs(A, node_measure=F.measure)
 
 
 def build_input(cfg, F, seed, manifest):
@@ -142,9 +159,12 @@ def build_input(cfg, F, seed, manifest):
     if isec is None:
         raise ConfigError("this command requires an input section")
     if "values" in isec:
-        return core.as_signal(np.asarray(isec["values"], dtype=float), F.dim)
+        return core.as_signal(isec["values"], F.dim)
     if "file" in isec:
-        data = np.loadtxt(isec["file"])
+        try:
+            data = np.loadtxt(isec["file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"input.file: {exc}") from exc
         if data.ndim == 2:
             data = data[:, -1]
         return core.as_signal(data, F.dim)
@@ -152,25 +172,22 @@ def build_input(cfg, F, seed, manifest):
     name = gen["name"]
     if name == "indicator":
         nodes = gen.get("nodes")
-        if nodes is None:
-            raise ConfigError("input.generator: indicator needs nodes")
+        if nodes is None or not ((nodes == np.round(nodes)) & (0 <= nodes)
+                                 & (nodes < F.dim)).all():
+            raise ConfigError(f"input.generator.nodes: indicator needs node "
+                              f"indices, integers in [0, {F.dim})")
         f = np.zeros(F.dim)
-        f[np.asarray(nodes, dtype=int)] = 1.0
+        f[nodes.astype(int)] = 1.0
         return f
     if name == "gaussian":
-        gseed = int(gen.get("seed", seed))
+        gseed = gen.get("seed", seed)
         manifest["resolved"]["input_seed"] = gseed
         return np.random.default_rng(gseed).standard_normal(F.dim)
     if name == "oracle_eigenvector":
-        idx = int(gen.get("index", 1))
-        if F.kind == "quadratic_form":
-            A = F.matrix
-        elif F.graph is not None:
-            A = functionals.laplacian_matrix(F.graph)
-        else:
-            raise ConfigError("oracle_eigenvector needs a matrix or graph")
-        spec = oracles.dense_symmetric_eigs(A, node_measure=F.measure)
-        return spec.eigenvectors[:, idx].copy()
+        index = gen.get("index", 1)
+        if not 0 <= index < F.dim:
+            raise ConfigError(f"input.generator.index: need 0 <= index < {F.dim}")
+        return oracle_spectrum(F).eigenvectors[:, index].copy()
     raise ConfigError(f"input.generator: unknown generator {name!r}")
 
 
@@ -241,10 +258,10 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.output_dir or cfg.get("output_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     env_seed = os.environ.get("NLSPEC_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        seed = _convert(int, env_seed, "NLSPEC_SEED")
     manifest = {
         "version": __version__,
         "config": cfg,
@@ -256,20 +273,12 @@ def cmd_run(args) -> int:
     }
     graph, grid_spec = build_domain(cfg)
     F = build_functional(cfg, graph)
-    opts = cfg.get("options", {}) or {}
     command = cfg["command"]
     status = 0
 
     if command in ("flow", "decompose"):
         f = build_input(cfg, F, seed, manifest)
-        trace = flow.run_flow(
-            F, f,
-            tau=opts.get("tau"),
-            max_steps=int(opts.get("max_steps", 1000)),
-            time_horizon=opts.get("time_horizon"),
-            extinction_tol=float(opts.get("extinction_tol", 1e-8)),
-            prox_tol=float(opts.get("prox_tol", 1e-11)),
-            store_iterates=bool(opts.get("store_iterates", False)))
+        trace = flow.run_flow(F, f, **cfg.get("options", {}))
         manifest["resolved"]["tau"] = float(trace.tau[1]) if len(trace.tau) > 1 else None
         manifest["resolved"]["extinction_index"] = trace.extinction_index
         manifest["resolved"]["prox_gap_total"] = trace.prox_gap_total
@@ -296,11 +305,7 @@ def cmd_run(args) -> int:
             manifest["resolved"]["reconstruction_residual"] = \
                 dec["reconstruction_residual"]
     elif command == "power":
-        out = power.ground_state_search(
-            F, restarts=int(opts.get("restarts", 5)), seed=seed,
-            c=float(opts.get("c", 0.9)), rule=opts.get("rule", "constant"),
-            tol=float(opts.get("tol", 1e-13)),
-            max_iter=int(opts.get("max_iter", 2000)))
+        out = power.ground_state_search(F, seed=seed, **cfg.get("options", {}))
         write_eigen_csv(os.path.join(out_dir, "eigen.csv"), out["all"])
         sig_dir = os.path.join(out_dir, "signals")
         write_signal(sig_dir, "ground_state", out["best"].w, grid_spec, manifest)
@@ -310,27 +315,19 @@ def cmd_run(args) -> int:
         for (idx, err) in out["failures"]:
             manifest["warnings"].append(f"restart {idx} failed: {err}")
     elif command == "oracle":
+        spec = oracle_spectrum(F)
+        with open(os.path.join(out_dir, "oracle.csv"), "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["index", "eigenvalue"])
+            for i, lam in enumerate(spec.eigenvalues):
+                wr.writerow([i, _fmt(lam)])
         sig_dir = os.path.join(out_dir, "signals")
-        wrote = False
-        if F.kind == "quadratic_form" or F.graph is not None:
-            A = F.matrix if F.kind == "quadratic_form" \
-                else functionals.laplacian_matrix(F.graph)
-            spec = oracles.dense_symmetric_eigs(A, node_measure=F.measure)
-            with open(os.path.join(out_dir, "oracle.csv"), "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["index", "eigenvalue"])
-                for i, lam in enumerate(spec.eigenvalues):
-                    wr.writerow([i, _fmt(lam)])
-            for i in range(min(4, F.dim)):
-                write_signal(sig_dir, f"eigenvector_{i}",
-                             spec.eigenvectors[:, i], grid_spec, manifest)
-            wrote = True
+        for i in range(min(4, F.dim)):
+            write_signal(sig_dir, f"eigenvector_{i}", spec.eigenvectors[:, i],
+                         grid_spec, manifest)
         if F.graph is not None and F.graph.boundary:
-            d = oracles.distance_transform(F.graph)
-            write_signal(sig_dir, "distance", d, grid_spec, manifest)
-            wrote = True
-        if not wrote:
-            raise ConfigError("oracle command needs a matrix or a graph domain")
+            write_signal(sig_dir, "distance", oracles.distance_transform(F.graph),
+                         grid_spec, manifest)
     elif command == "validate":
         return cmd_validate(args)
 
@@ -348,7 +345,7 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj

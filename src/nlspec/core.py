@@ -256,6 +256,18 @@ def euler_residual(F: FunctionalHandle, u, zeta) -> float:
     return abs(F.degree * evaluate(F, u) - inner(zeta, u, F.measure))
 
 
+def dual_flow_projection(F: FunctionalHandle, radius: float):
+    """Projection onto the edge flows whose divergence lies in radius * K_J:
+    the box |psi_e| <= radius*w_e, or sum_e |psi_e| / w_e <= radius for
+    lipschitz_sup.  The edgecalc projections are looked up at call time."""
+    w = F.graph.edge_arrays[2]
+    if F.kind == "lipschitz_sup":
+        inv_w, ones = 1.0 / w, np.ones_like(w)
+        return lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, radius)
+    bound = radius * w
+    return lambda psi: edgecalc.project_box(psi, bound)
+
+
 def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
                          max_iter: int = 20000) -> bool:
     """Is zeta in K_J = dJ(0) = {z : <z,u> <= J(u) for all u}?
@@ -274,15 +286,8 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
         return float(np.sum(m * np.abs(zeta))) <= 1.0 + tol
     # graph_tv / lipschitz_sup / dirichlet_p(p=1): zeta must be a divergence
     # of an admissible edge flow; Dirichlet nodes carry no constraint.
-    i_idx, j_idx, w = F.graph.edge_arrays
+    i_idx, j_idx, _ = F.graph.edge_arrays
     interior = F.graph.interior_mask
-    if F.kind in ("graph_tv", "dirichlet_p"):
-        def project(phi):
-            return edgecalc.project_box(phi, w)
-    else:  # lipschitz_sup: dual ball is an l1-type coupling of edge flows
-        def project(phi):
-            return edgecalc.project_weighted_l1(phi, 1.0 / w, np.ones_like(w), 1.0)
-
     scale = norm(zeta, m)
     if scale == 0.0:
         return True
@@ -291,7 +296,8 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
     L = edgecalc.grad_div_opnorm(i_idx, j_idx, m, interior)
     fit_tol = tol * scale
     psi = np.zeros(len(i_idx))
-    iterates = edgecalc.dual_fista(zeta, i_idx, j_idx, m, interior, project)
+    iterates = edgecalc.dual_fista(zeta, i_idx, j_idx, m, interior,
+                                   dual_flow_projection(F, 1.0))
     for it, psi_new in enumerate(islice(iterates, max_iter)):
         step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
         psi = psi_new

@@ -137,8 +137,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, schedule=None,
     return FlowTrace(
         f=f, u_infinity=u_inf, degree=F.degree,
         t=np.array(ts), tau=np.array(taus), J=np.array(Js),
-        dist=np.array(dists), Lambda=np.array(lams[:len(ts)]),
-        zeta_norm=np.array(znorms + [0.0] * (len(ts) - len(znorms))),
+        dist=np.array(dists), Lambda=np.array(lams), zeta_norm=np.array(znorms),
         profile_residual=np.array(prof),
         zetas=zetas, u_last=u, extinction_index=extinction_index,
         prox_gap_total=gap_total, warnings=warnings, us=us)

@@ -92,7 +92,7 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
             raise BadParams(f"{kind} requires a dimension")
         else:
             m = node_measure_array(node_measure,
-                                   len(node_measure) if n is None else int(n))
+                                   np.size(node_measure) if n is None else int(n))
         return FunctionalHandle(kind=kind, degree=1.0, measure=m)
 
     if kind == "quadratic_form":

@@ -104,8 +104,9 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
 
     mu = min(mu, 1.0)
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
-    # fixed-point residual in vector form: prox_sigma(w) vs mu*w
-    v_last = prox(F, w, sigma, tol=prox_tol).u
+    # fixed-point residual in vector form: prox_sigma(w) vs mu*w; after
+    # convergence w and sigma are those of the last prox call
+    v_last = v if converged else prox(F, w, sigma, tol=prox_tol).u
     residual_vec = norm(v_last - mu * w, m)
     osc = 0.0
     rec = list(recent)

@@ -25,6 +25,7 @@ from . import edgecalc
 from .core import (
     FunctionalHandle,
     clamp_boundary,
+    dual_flow_projection,
     evaluate,
     evaluate_batch,
     inner,
@@ -113,20 +114,11 @@ def _prox_quadratic(F, f, sigma, tol, max_iter):
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
     graph = F.graph
-    i_idx, j_idx, w = graph.edge_arrays
+    i_idx, j_idx, _ = graph.edge_arrays
     m = graph.node_measure
     interior = graph.interior_mask
     fc = f.copy()
     fc[~interior] = 0.0
-
-    if F.kind == "lipschitz_sup":
-        def project(psi):
-            return edgecalc.project_weighted_l1(psi, 1.0 / w, np.ones_like(w), sigma)
-    else:
-        bound = sigma * w
-
-        def project(psi):
-            return edgecalc.project_box(psi, bound)
 
     def primal_dual(psi):
         d = edgecalc.edge_div(psi, i_idx, j_idx, m)
@@ -140,7 +132,8 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     u, pval, gap = primal_dual(np.zeros(len(i_idx)))
     best = (u, gap)
     its = 0
-    iterates = edgecalc.dual_fista(fc, i_idx, j_idx, m, interior, project)
+    iterates = edgecalc.dual_fista(fc, i_idx, j_idx, m, interior,
+                                   dual_flow_projection(F, sigma))
     for its, psi in enumerate(islice(iterates, max_iter), start=1):
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_dual(psi)

@@ -66,6 +66,105 @@ class TestConfigParsing:
         assert cli.main(["run", p]) == 1
 
 
+MISSING = object()  # an override that removes the key
+
+# config overrides, environment, and the key the error must name.  The first
+# nine ended in a Python traceback (exception noted) before the schema
+# converted values.
+MALFORMED = {
+    "grid_width": ({"domain": {"grid": {"width": "abc"}}}, {},
+                   "domain.grid.width"),  # ValueError
+    "functional_n": ({"functional": {"kind": "l1", "n": "x"}}, {},
+                     "functional.n"),  # ValueError
+    "max_steps": ({"options": {"max_steps": "many"}}, {},
+                  "options.max_steps"),  # ValueError
+    "tau": ({"options": {"tau": "fast"}}, {}, "options.tau"),  # TypeError
+    "values": ({"input": {"values": ["a", "b", "c"]}}, {},
+               "input.values"),  # ValueError
+    "spacing": ({"domain": {"grid": {"width": 4, "spacing": "wide"}}}, {},
+                "domain.grid.spacing"),  # ValueError
+    "file": ({"input": {"file": "/nonexistent.txt"}}, {},
+             "input.file"),  # FileNotFoundError
+    "nodes": ({"input": {"generator": {"name": "indicator", "nodes": [7]}}}, {},
+              "input.generator.nodes"),  # IndexError on 6 nodes
+    "env_seed": ({}, {"NLSPEC_SEED": "x"}, "NLSPEC_SEED"),  # ValueError
+    "store_iterates": ({"options": {"store_iterates": "no"}}, {},
+                       "options.store_iterates"),  # read as true
+    "foreign_option": ({"command": "power", "options": {"tau": 0.1}}, {},
+                       "'tau'"),  # ignored
+    "no_functional": ({"functional": MISSING}, {}, "'functional'"),
+    "null_functional": ({"functional": None}, {}, "'functional'"),
+    "fractional_node": ({"input": {"generator": {"name": "indicator",
+                                                 "nodes": [1.5]}}}, {},
+                        "input.generator.nodes"),  # read as node 1
+    "negative_node": ({"input": {"generator": {"name": "indicator",
+                                               "nodes": [-1]}}}, {},
+                      "input.generator.nodes"),  # read as the last node
+    "negative_index": ({"input": {"generator": {"name": "oracle_eigenvector",
+                                                "index": -1}}}, {},
+                       "input.generator.index"),  # read as the last vector
+    "large_index": ({"input": {"generator": {"name": "oracle_eigenvector",
+                                             "index": 6}}}, {},
+                    "input.generator.index"),  # IndexError on 6 nodes
+    "width_inf": ({"domain": {"grid": {"width": float("inf")}}}, {},
+                  "domain.grid.width"),  # OverflowError
+    "output_dir_list": ({"output_dir": [1]}, {}, "output_dir"),  # TypeError
+    "options_pairs": ({"options": [["tau", 0.1]]}, {}, "options"),
+}
+
+
+class TestFrontDoor:
+    def _run(self, tmp_path, capsys, **overrides):
+        cfg = flow_config(tmp_path / "out", **overrides)
+        cfg = {k: v for k, v in cfg.items() if v is not MISSING}
+        rc = cli.main(["run", write_config(tmp_path / "c.yaml", cfg)])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_config_is_one_config_error(self, name, tmp_path,
+                                                  monkeypatch, capsys):
+        overrides, env, key = MALFORMED[name]
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        rc, err = self._run(tmp_path, capsys, **overrides)
+        assert rc == 1
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert key in err and "Traceback" not in err
+
+    def test_scalar_node_measure_is_one_error_line(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, domain=MISSING,
+                            functional={"kind": "l1", "node_measure": 2})
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert "node_measure" in err and "Traceback" not in err
+
+    def test_single_indicator_node(self, tmp_path, capsys):
+        gen = {"generator": {"name": "indicator", "nodes": 2}}
+        assert self._run(tmp_path, capsys, input=gen)[0] == 0
+        with open(tmp_path / "out" / "signals" / "input.txt") as fh:
+            assert [float(line.split()[1]) for line in fh] == [0, 0, 1, 0, 0, 0]
+
+    def test_null_reads_as_absent(self, tmp_path, capsys):
+        rc, _ = self._run(tmp_path, capsys, options={"tau": None}, seed=None)
+        assert rc == 0
+        rc, err = self._run(tmp_path, capsys, functional={"kind": None})
+        assert rc == 1 and "missing required key 'kind'" in err
+
+    def test_flow_without_options_uses_library_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = flow_config(out)
+        del cfg["options"]
+        assert cli.main(["run", write_config(tmp_path / "c.yaml", cfg)]) == 0
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=6)))
+        trace = nl.run_flow(F, np.random.default_rng(4).standard_normal(6))
+        with open(out / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(trace.t)
+        for col in ("t", "tau", "J", "dist", "Lambda", "zeta_norm",
+                    "profile_residual"):
+            got = np.array([float(r[col]) for r in rows])
+            assert np.array_equal(got, getattr(trace, col), equal_nan=True), col
+
+
 class TestFlowRun:
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "out"
@@ -227,6 +326,10 @@ class TestExplicitGraph:
     def test_no_domain_is_a_none_pair(self):
         cfg = {"functional": {"kind": "l1", "n": 2}, "command": "flow"}
         assert cli.build_domain(cfg) == (None, None)
+
+    def test_plain_dict_grid(self):
+        graph, spec = cli.build_domain({"domain": {"grid": {"width": 4}}})
+        assert graph.n == 4 and spec == nl.GridSpec(width=4)
 
 
 class TestCompare:

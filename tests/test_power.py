@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -24,6 +25,24 @@ class TestPowerMethod:
         assert abs(pair.lam - lam1) / lam1 <= 1e-8
         v1 = spec.eigenvectors[:, 1] / np.linalg.norm(spec.eigenvectors[:, 1])
         assert abs(pair.w @ v1) >= 1.0 - 1e-10
+
+    def test_one_prox_call_per_iteration(self, monkeypatch):
+        # a converged run reuses its last prox for the fixed-point residual;
+        # an unconverged one needs one more call at the final iterate
+        prox_module = importlib.import_module("nlspec.prox")
+        calls = []
+        prox = prox_module.prox
+        monkeypatch.setattr(prox_module, "prox",
+                            lambda *a, **k: calls.append(1) or prox(*a, **k))
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=5)))
+        start = np.array([1.0, 0.2, -0.5, 0.3, -1.0])
+        for max_iter, extra in ((2000, 0), (2, 1)):
+            calls.clear()
+            pair = nl.power_method(F, start, max_iter=max_iter)
+            assert pair.converged == (extra == 0)
+            assert len(calls) == len(pair.history) + extra
+            v = prox(F, pair.w, pair.sigma, tol=1e-13).u
+            assert pair.residual == nl.core.norm(v - pair.mu * pair.w, F.measure)
 
     def test_lambda_formula_from_mu_sigma(self):
         # at degree 2: mu = 0.5, sigma = 1 -> lambda = (1-mu)/(sigma*mu) = 1

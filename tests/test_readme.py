@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from nlspec import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -8,3 +10,14 @@ def test_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_config_examples_are_valid(tmp_path):
+    config, fragment = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "config.yaml"
+    path.write_text(config)
+    graph, spec = cli.build_domain(cli.load_config(str(path)))
+    assert graph.n == spec.width
+    path.write_text("functional: {kind: graph_tv}\ncommand: oracle\n" + fragment)
+    graph, spec = cli.build_domain(cli.load_config(str(path)))
+    assert graph.n == 3 and spec is None

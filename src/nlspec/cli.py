@@ -51,31 +51,46 @@ def _bool(value):
     return value
 
 
+def _int(value):
+    """A whole number: a bool or a fraction is an error, not 0/1 or truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value):
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-_FLOW_OPTIONS = {"tau": float, "max_steps": int, "time_horizon": float,
+_FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
                  "extinction_tol": float, "prox_tol": float, "store_iterates": _bool}
 # per command: the keyword arguments of its library call
 OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
-           "power": {"restarts": int, "c": float, "rule": str, "tol": float,
-                     "max_iter": int},
+           "power": {"restarts": _int, "c": float, "rule": str, "tol": float,
+                     "max_iter": _int},
            "oracle": {}, "validate": {}}
 SCHEMA = {
     "functional": Required({"kind": Required(str), "p": float, "matrix": _floats,
-                            "node_measure": _floats, "n": int}),
-    "domain": {"grid": {"width": Required(int), "height": int, "spacing": float,
-                        "boundary_mode": str},
-               "n": int, "edges": list, "boundary": list,
+                            "node_measure": _floats, "n": _int}),
+    "domain": {"grid": {"width": Required(_int), "height": _int,
+                        "spacing": float, "boundary_mode": str},
+               "n": _int, "edges": list, "boundary": list,
                "node_measure": _floats},
     "input": {"values": _floats, "file": os.fspath,
-              "generator": {"name": Required(str), "nodes": _floats, "seed": int,
-                            "index": int}},
+              "generator": {"name": Required(str), "nodes": _floats,
+                            "seed": _seed, "index": _int}},
     "command": Required(str),
     "options": dict,  # the raw section is walked against OPTIONS[command]
     "output_dir": os.fspath,
-    "seed": int,
+    "seed": _seed,
 }
 
 
@@ -261,7 +276,7 @@ def cmd_run(args) -> int:
     seed = cfg.get("seed", 0)
     env_seed = os.environ.get("NLSPEC_SEED")
     if env_seed is not None:
-        seed = _convert(int, env_seed, "NLSPEC_SEED")
+        seed = _convert(_seed, env_seed, "NLSPEC_SEED")
     manifest = {
         "version": __version__,
         "config": cfg,
@@ -364,14 +379,39 @@ def cmd_validate(args) -> int:
 
 
 def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Header and rows of floats; an unreadable file or a cell that is not a
+    number is an NlspecError."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise NlspecError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise NlspecError(f"{path}: empty CSV")
-    return rows[0], rows[1:]
+    head = rows[0]
+    try:
+        body = [[float(row[c]) for c in range(len(head))] for row in rows[1:]]
+    except (ValueError, IndexError) as exc:
+        raise NlspecError(f"{path}: every row needs {len(head)} numbers: {exc}") \
+            from exc
+    return head, body
+
+
+def _read_tols(path):
+    """Column name -> absolute tolerance, from a YAML mapping."""
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"--tol-file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("--tol-file: expected a mapping of column to tolerance")
+    return {col: _convert(float, tol, f"--tol-file: {col}")
+            for col, tol in raw.items()}
 
 
 def cmd_compare(args) -> int:
+    tols = _read_tols(args.tol_file) if args.tol_file else {}
     head_a, rows_a = _read_csv(args.a)
     head_b, rows_b = _read_csv(args.b)
     if head_a != head_b:
@@ -380,21 +420,17 @@ def cmd_compare(args) -> int:
     if len(rows_a) != len(rows_b):
         print(f"row count mismatch: {len(rows_a)} vs {len(rows_b)}")
         return 2
-    tols = {}
-    if args.tol_file:
-        with open(args.tol_file) as fh:
-            tols = yaml.safe_load(fh) or {}
     status = 0
     worst = {}
     for r, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for c, col in enumerate(head_a):
-            va, vb = float(ra[c]), float(rb[c])
+            va, vb = ra[c], rb[c]
             if math.isnan(va) and math.isnan(vb):
                 continue
             dev = abs(va - vb)
             if col not in worst or dev > worst[col][0]:
                 worst[col] = (dev, r)
-            if dev > float(tols.get(col, 0.0)):
+            if dev > tols.get(col, 0.0):
                 print(f"mismatch at row {r} column {col!r}: "
                       f"{_fmt(va)} vs {_fmt(vb)} (|diff| = {dev:.3e})")
                 status = 2

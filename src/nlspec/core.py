@@ -50,6 +50,8 @@ def as_signal(values, n: Optional[int] = None) -> np.ndarray:
 
 def node_measure_array(node_measure, n: int) -> np.ndarray:
     """Ones without a measure; else the measure, checked finite, positive, length n."""
+    if n < 1:
+        raise BadParams(f"need at least one node, got n = {n}")
     if node_measure is None:
         return np.ones(n)
     try:
@@ -69,7 +71,8 @@ class WeightedGraph:
     `edge_arrays`; the `edges` property derives the triples from them.
     """
 
-    __slots__ = ("n", "boundary", "node_measure", "_i", "_j", "_w", "_interior")
+    __slots__ = ("n", "boundary", "node_measure", "_i", "_j", "_w", "_interior",
+                 "_opnorm")
 
     def __init__(self, n: int, edges, boundary=frozenset(), node_measure=None):
         if n < 1:
@@ -109,6 +112,7 @@ class WeightedGraph:
         self.node_measure = m
         self._i, self._j, self._w = i, j, e[:, 2].copy()
         self._interior = interior
+        self._opnorm = None
 
     @property
     def edges(self) -> tuple:
@@ -122,6 +126,15 @@ class WeightedGraph:
     @property
     def interior_mask(self) -> np.ndarray:
         return self._interior
+
+    @property
+    def grad_div_opnorm(self) -> float:
+        """Step bound of the dual FISTA kernel, computed on first use by
+        `edgecalc.grad_div_opnorm` and kept for the graph's lifetime."""
+        if self._opnorm is None:
+            self._opnorm = edgecalc.grad_div_opnorm(
+                self._i, self._j, self.node_measure, self._interior)
+        return self._opnorm
 
 
 def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
@@ -291,13 +304,12 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
     scale = norm(zeta, m)
     if scale == 0.0:
         return True
-    # stop once a step of the fit no longer moves the flow; L is the same
-    # deterministic bound the kernel takes its 1/L steps with
-    L = edgecalc.grad_div_opnorm(i_idx, j_idx, m, interior)
+    # stop once a step of the fit no longer moves the flow; L is the bound
+    # the kernel takes its 1/L steps with
+    L = F.graph.grad_div_opnorm
     fit_tol = tol * scale
     psi = np.zeros(len(i_idx))
-    iterates = edgecalc.dual_fista(zeta, i_idx, j_idx, m, interior,
-                                   dual_flow_projection(F, 1.0))
+    iterates = edgecalc.dual_fista(zeta, F.graph, dual_flow_projection(F, 1.0))
     for it, psi_new in enumerate(islice(iterates, max_iter)):
         step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
         psi = psi_new

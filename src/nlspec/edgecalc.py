@@ -53,27 +53,34 @@ def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
     return 1.01 * lam
 
 
-def dual_fista(g: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
-               measure: np.ndarray, interior: np.ndarray, project):
+def dual_fista(g: np.ndarray, graph, project):
     """Yield the iterates psi_1, psi_2, ... of FISTA (Beck & Teboulle 2009) on
 
         min_psi 0.5*||div(psi) - g||^2_m over interior nodes, psi in the set
         that `project` maps onto,
 
-    with constant step 1/L, L = grad_div_opnorm(...) >= the norm of
-    phi -> edge_diff(mask(edge_div(phi))).  The generator never stops; each
-    caller applies its own stopping rule.
+    on the edges, node measure and interior of `graph`, with constant step
+    1/L, L = graph.grad_div_opnorm >= the norm of
+    phi -> edge_diff(mask(edge_div(phi))).  The momentum restarts (t = 1)
+    whenever it points against the gradient step, the gradient test of
+    O'Donoghue & Candes (FoCM 2015).  The generator never stops; each caller
+    applies its own stopping rule.
     """
-    L = grad_div_opnorm(i_idx, j_idx, measure, interior)
+    i_idx, j_idx, _ = graph.edge_arrays
+    measure, outside = graph.node_measure, ~graph.interior_mask
+    L = graph.grad_div_opnorm
     psi = np.zeros(len(i_idx))
     y = psi
     t = 1.0
     while True:
         r = edge_div(y, i_idx, j_idx, measure) - g
-        r[~interior] = 0.0
+        r[outside] = 0.0
         psi_new = project(y - edge_diff(r, i_idx, j_idx) / L)
+        step = psi_new - psi
+        if np.dot(y - psi_new, step) > 0.0:
+            t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = psi_new + ((t - 1.0) / t_new) * (psi_new - psi)
+        y = psi_new + ((t - 1.0) / t_new) * step
         psi, t = psi_new, t_new
         yield psi
 
@@ -93,26 +100,28 @@ def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     absg = np.abs(g)
-    if float(np.sum(a * absg)) <= radius:
+    ag = a * absg
+    if float(np.sum(ag)) <= radius:
         return g.copy()
     if radius == 0.0:
         return np.zeros_like(g)
     c = a / b
-    # breakpoints: coordinate i leaves the active set at t = |g_i| / c_i
-    bp = np.where(c > 0, absg / np.where(c > 0, c, 1.0), np.inf)
-    order = np.argsort(bp)
-    a_o, g_o, c_o = a[order], absg[order], c[order]
-    # suffix sums over coordinates still active for t in [bp_k, bp_{k+1})
-    s1 = np.cumsum((a_o * g_o)[::-1])[::-1]  # sum a|g| over active
-    s2 = np.cumsum((a_o * c_o)[::-1])[::-1]  # sum a*c  over active
-    t_prev = 0.0
-    for k in range(len(g)):
-        if s2[k] <= 0:
-            break
-        t = (s1[k] - radius) / s2[k]
-        if t_prev <= t <= bp[order[k]] + 1e-15:
-            shrink = np.maximum(absg - t * c, 0.0)
-            return np.sign(g) * shrink
-        t_prev = bp[order[k]]
-    # numerically all mass must be removed
-    return np.zeros_like(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # breakpoints: coordinate i leaves the active set at t = |g_i| / c_i
+        bp = np.where(c > 0, absg / c, np.inf)
+        order = np.argsort(bp)
+        bp_o = bp[order]
+        # suffix sums over the coordinates active for t in [bp_{k-1}, bp_k]
+        s1 = np.cumsum(ag[order][::-1])[::-1]  # sum a|g| over active
+        s2 = np.cumsum((a * c)[order][::-1])[::-1]  # sum a*c over active
+        t = (s1 - radius) / s2
+    # s2 adds up a*c = a^2/b >= 0 from the end, so it is positive exactly on
+    # the candidates before the active set empties; the first admissible
+    # candidate among them is the multiplier
+    t_prev = np.concatenate(([0.0], bp_o[:-1]))
+    ok = (s2 > 0) & (t_prev <= t) & (t <= bp_o + 1e-15)
+    k = int(np.argmax(ok))
+    if not ok[k]:
+        # numerically all mass must be removed
+        return np.zeros_like(g)
+    return np.sign(g) * np.maximum(absg - t[k] * c, 0.0)

@@ -58,6 +58,8 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
         raise BadParams("c must lie in (0, 1)")
     if rule not in ("constant", "adaptive"):
         raise BadParams(f"unknown step-size rule {rule!r}")
+    if max_iter < 1:
+        raise BadParams(f"max_iter must be at least 1, got {max_iter}")
     start = clamp_boundary(F, as_signal(start, F.dim))
     m = F.measure
     floor = 1e-13 * np.sqrt(F.dim)

@@ -7,8 +7,10 @@ Methods by kind:
   quadratic_form   conjugate gradients on (M + sigma*A) u = M f
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact sort-based projection onto the scaled dual l1 ball
-  graph_tv         FISTA on the dual edge-flow problem, box constraint
-  lipschitz_sup    FISTA on the dual, weighted-l1 coupling of edge flows
+  graph_tv         FISTA with adaptive restart on the dual edge-flow
+                   problem, box constraint
+  lipschitz_sup    FISTA with adaptive restart on the dual, weighted-l1
+                   coupling of edge flows
   dirichlet_p p>1  L-BFGS on the (smooth) primal, Fenchel gap certificate
 """
 
@@ -132,8 +134,7 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     u, pval, gap = primal_dual(np.zeros(len(i_idx)))
     best = (u, gap)
     its = 0
-    iterates = edgecalc.dual_fista(fc, i_idx, j_idx, m, interior,
-                                   dual_flow_projection(F, sigma))
+    iterates = edgecalc.dual_fista(fc, graph, dual_flow_projection(F, sigma))
     for its, psi in enumerate(islice(iterates, max_iter), start=1):
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_dual(psi)

@@ -110,6 +110,15 @@ MALFORMED = {
                   "domain.grid.width"),  # OverflowError
     "output_dir_list": ({"output_dir": [1]}, {}, "output_dir"),  # TypeError
     "options_pairs": ({"options": [["tau", 0.1]]}, {}, "options"),
+    "fractional_width": ({"domain": {"grid": {"width": 4.7}}}, {},
+                         "domain.grid.width"),  # built a width-4 grid
+    "bool_height": ({"domain": {"grid": {"width": 6, "height": True}}}, {},
+                    "domain.grid.height"),  # read as 1
+    "negative_generator_seed": ({"input": {"generator": {"name": "gaussian",
+                                                         "seed": -1}}}, {},
+                                "input.generator.seed"),  # ValueError
+    "negative_seed": ({"input": {"generator": {"name": "gaussian"}},
+                       "seed": -1}, {}, "seed:"),  # ValueError
 }
 
 
@@ -130,6 +139,17 @@ class TestFrontDoor:
         assert rc == 1
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"domain": MISSING, "functional": {"kind": "l1", "n": -1}},
+        {"command": "power", "options": {"max_iter": 0, "restarts": 1}},
+    ], ids=["negative_n", "power_max_iter_0"])
+    def test_library_rejection_is_one_error_line(self, overrides, tmp_path,
+                                                 capsys):
+        # a ValueError and a TypeError traceback before the library checked
+        rc, err = self._run(tmp_path, capsys, **overrides)
+        assert rc == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_scalar_node_measure_is_one_error_line(self, tmp_path, capsys):
         rc, err = self._run(tmp_path, capsys, domain=MISSING,
@@ -360,6 +380,22 @@ class TestCompare:
         assert rc == 2
         text = capsys.readouterr().out
         assert "Lambda" in text and "row 1" in text
+
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys):
+        a = self._write_trace(tmp_path, "a")
+        rc = cli.main(["compare", a, str(tmp_path / "missing.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "missing.csv" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_numeric_tolerance_is_one_error_line(self, tmp_path, capsys):
+        a = self._write_trace(tmp_path, "a")
+        tol = tmp_path / "tol.yaml"
+        tol.write_text("t: abc\n")
+        rc = cli.main(["compare", a, a, "--tol-file", str(tol)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: --tol-file: t")
+        assert len(err.splitlines()) == 1
 
     def test_schema_mismatch(self, tmp_path, capsys):
         a = self._write_trace(tmp_path, "a")

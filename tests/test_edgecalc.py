@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+
+from nlspec import edgecalc
+
+
+def project_weighted_l1_loop(g, a, b, radius):
+    """The breakpoint search one candidate at a time: the reference that the
+    vectorized `edgecalc.project_weighted_l1` must reproduce bit for bit."""
+    absg = np.abs(g)
+    if float(np.sum(a * absg)) <= radius:
+        return g.copy()
+    if radius == 0.0:
+        return np.zeros_like(g)
+    c = a / b
+    bp = np.where(c > 0, absg / np.where(c > 0, c, 1.0), np.inf)
+    order = np.argsort(bp)
+    a_o, g_o, c_o = a[order], absg[order], c[order]
+    s1 = np.cumsum((a_o * g_o)[::-1])[::-1]
+    s2 = np.cumsum((a_o * c_o)[::-1])[::-1]
+    t_prev = 0.0
+    for k in range(len(g)):
+        if s2[k] <= 0:
+            break
+        t = (s1[k] - radius) / s2[k]
+        if t_prev <= t <= bp[order[k]] + 1e-15:
+            shrink = np.maximum(absg - t * c, 0.0)
+            return np.sign(g) * shrink
+        t_prev = bp[order[k]]
+    return np.zeros_like(g)
+
+
+def weighted_l1_cases(count=400, seed=0):
+    """(g, a, b, radius) with zero entries, tied breakpoints, zero weights,
+    radius 0, points already inside the ball and scales from 1e-8 to 1e8
+    (where rounding can leave no admissible breakpoint) among them."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 40))
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        a = rng.uniform(0.1, 3.0, n)
+        b = rng.uniform(0.1, 3.0, n)
+        kind = k % 6
+        if kind == 0:
+            g[rng.random(n) < 0.4] = 0.0
+        elif kind == 1:  # many equal breakpoints |g_i| b_i / a_i
+            g = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+            a = b = np.ones(n)
+        elif kind == 2:
+            a[rng.random(n) < 0.3] = 0.0
+        elif kind == 5:
+            g, a, b = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+                       for _ in range(3))
+            a, b = np.abs(a), np.abs(b)
+        total = float(np.sum(a * np.abs(g)))
+        if kind == 3:
+            radius = 0.0
+        elif kind == 4:
+            radius = total * rng.uniform(1.0, 2.0)
+        elif kind == 5:
+            radius = total * rng.choice([1e-17, 1e-12, 0.5, 1 - 1e-15])
+        else:
+            radius = total * rng.uniform(0.0, 1.0)
+        yield g, a, b, radius
+
+
+class TestProjectWeightedL1:
+    def test_matches_breakpoint_loop_bit_for_bit(self):
+        for g, a, b, radius in weighted_l1_cases():
+            got = edgecalc.project_weighted_l1(g, a, b, radius)
+            want = project_weighted_l1_loop(g, a, b, radius)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_projection_saturates_the_constraint(self):
+        for g, a, b, radius in weighted_l1_cases(count=60, seed=1):
+            x = edgecalc.project_weighted_l1(g, a, b, radius)
+            total = float(np.sum(a * np.abs(g)))
+            used = float(np.sum(a * np.abs(x)))
+            # up to rounding relative to the whole mass sum a|g|
+            assert used <= radius + 1e-12 * total
+            if total > radius and np.all(a > 0):
+                assert abs(used - radius) <= 1e-9 * total
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            edgecalc.project_weighted_l1(np.ones(2), np.ones(2), np.ones(2), -1.0)

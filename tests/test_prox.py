@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlspec as nl
-from nlspec import errors
+from nlspec import edgecalc, errors
 
 
 def path_graph(n, w=1.0, measure=None):
@@ -179,3 +179,62 @@ class TestDirichletBoundaryClamping:
         sol = nl.prox(F, f, 0.2, tol=1e-12)
         assert sol.u[0] == 0.0 and sol.u[4] == 0.0
         assert sol.zeta[0] == 0.0 and sol.zeta[4] == 0.0
+
+
+class TestRestartedDualFista:
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    def test_converges_on_128_grid(self, kind):
+        g = nl.build_grid_graph(nl.GridSpec(width=128, height=128,
+                                            spacing=1 / 128))
+        F = nl.make_functional(kind, g)
+        f = np.random.default_rng(0).standard_normal(g.n)
+        assert nl.prox(F, f, 0.01).converged
+
+    def test_step_bound_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        compute = edgecalc.grad_div_opnorm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(edgecalc, "grad_div_opnorm", counted)
+        rng = np.random.default_rng(6)
+        graphs = [nl.build_grid_graph(nl.GridSpec(width=5, height=4,
+                                                  boundary_mode="dirichlet")),
+                  path_graph(6)]
+        for count, g in enumerate(graphs, start=1):
+            for kind in ("graph_tv", "lipschitz_sup"):
+                F = nl.make_functional(kind, g)
+                for sigma in (0.1, 0.5):
+                    sol = nl.prox(F, rng.standard_normal(g.n), sigma, tol=1e-12)
+                    nl.dual_ball_membership(F, sol.zeta)
+            assert len(calls) == count
+            i_idx, j_idx, _ = g.edge_arrays
+            assert g.grad_div_opnorm == compute(i_idx, j_idx, g.node_measure,
+                                                g.interior_mask)
+
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    def test_matches_brute_force(self, kind):
+        """Within 1e-3 of the grid-search oracle on 3-node paths.  On the
+        4-node Dirichlet path the oracle searches the two clamped nodes too
+        and can stop 2e-3 away, so there the prox must be at least as good."""
+        graphs = [path_graph(3), path_graph(3, w=2.0, measure=[1.0, 0.5, 2.0]),
+                  nl.build_grid_graph(nl.GridSpec(width=2,
+                                                  boundary_mode="dirichlet"))]
+        rng = np.random.default_rng(3)
+        for g in graphs:
+            F = nl.make_functional(kind, g)
+            for _ in range(15):
+                f = nl.core.clamp_boundary(F, rng.uniform(-1, 1, g.n))
+                sigma = rng.uniform(0.1, 0.8)
+                sol = nl.prox(F, f, sigma, tol=1e-12)
+                assert sol.converged
+                ub = nl.brute_force_prox(F, f, sigma)
+                if F.has_boundary:
+                    def objective(u):
+                        return (0.5 * nl.norm(u - f, F.measure) ** 2
+                                + sigma * nl.evaluate(F, u))
+                    assert objective(sol.u) <= objective(ub) + 1e-12
+                else:
+                    assert np.max(np.abs(sol.u - ub)) <= 1e-3

@@ -269,16 +269,36 @@ def euler_residual(F: FunctionalHandle, u, zeta) -> float:
     return abs(F.degree * evaluate(F, u) - inner(zeta, u, F.measure))
 
 
-def dual_flow_projection(F: FunctionalHandle, radius: float):
-    """Projection onto the edge flows whose divergence lies in radius * K_J:
-    the box |psi_e| <= radius*w_e, or sum_e |psi_e| / w_e <= radius for
-    lipschitz_sup.  The edgecalc projections are looked up at call time."""
+def dual_flow_prox(F: FunctionalHandle, sigma: float):
+    """The edge-flow side of the prox dual of sigma*J on a graph,
+    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a pair:
+
+    - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
+      `edgecalc.dual_fista` applies after each gradient step: the projection
+      onto the box |psi_e| <= sigma*w_e (graph_tv, dirichlet_p with p = 1),
+      onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), or for dirichlet_p
+      with 1 < p < 2 `edgecalc.prox_power_conjugate` with
+      h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
+    - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
+      subtracts: 0 for the indicators.
+
+    The edgecalc maps are looked up at call time.
+    """
     w = F.graph.edge_arrays[2]
     if F.kind == "lipschitz_sup":
         inv_w, ones = 1.0 / w, np.ones_like(w)
-        return lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, radius)
-    bound = radius * w
-    return lambda psi: edgecalc.project_box(psi, bound)
+        return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
+                _zero_conjugate)
+    a = sigma * w
+    if F.kind == "dirichlet_p" and F.p > 1.0:
+        q, L = F.p / (F.p - 1.0), F.graph.grad_div_opnorm
+        return (lambda psi: edgecalc.prox_power_conjugate(psi, a, L, q),
+                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q)
+    return lambda psi: edgecalc.project_box(psi, a), _zero_conjugate
+
+
+def _zero_conjugate(psi):
+    return 0.0
 
 
 def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
@@ -309,7 +329,8 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
     L = F.graph.grad_div_opnorm
     fit_tol = tol * scale
     psi = np.zeros(len(i_idx))
-    iterates = edgecalc.dual_fista(zeta, F.graph, dual_flow_projection(F, 1.0))
+    project, _ = dual_flow_prox(F, 1.0)
+    iterates = edgecalc.dual_fista(zeta, F.graph, project)
     for it, psi_new in enumerate(islice(iterates, max_iter)):
         step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
         psi = psi_new

@@ -1,8 +1,8 @@
 """Edge-space primitives for graph functionals.
 
 Discrete gradient/divergence pair, operator-norm estimation, the exact
-projections used by the dual prox solvers, and the dual FISTA kernel they
-share.  The pairing convention is
+projections and the edgewise p-power prox used by the dual prox solvers, and
+the dual FISTA kernel they share.  The pairing convention is
 
     <div(phi), u>_m = sum_e phi_e * (u_j - u_i),
 
@@ -56,12 +56,14 @@ def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
 def dual_fista(g: np.ndarray, graph, project):
     """Yield the iterates psi_1, psi_2, ... of FISTA (Beck & Teboulle 2009) on
 
-        min_psi 0.5*||div(psi) - g||^2_m over interior nodes, psi in the set
-        that `project` maps onto,
+        min_psi 0.5*||div(psi) - g||^2_m over interior nodes + sum_e h*_e(psi_e)
 
     on the edges, node measure and interior of `graph`, with constant step
     1/L, L = graph.grad_div_opnorm >= the norm of
-    phi -> edge_diff(mask(edge_div(phi))).  The momentum restarts (t = 1)
+    phi -> edge_diff(mask(edge_div(phi))).  `project` is the edgewise prox of
+    h*/L, applied after each gradient step; a projection is the case where
+    h* is the indicator of a set (the dual proximal gradient method of Beck
+    & Teboulle, Oper. Res. Lett. 2014).  The momentum restarts (t = 1)
     whenever it points against the gradient step, the gradient test of
     O'Donoghue & Candes (FoCM 2015).  The generator never stops; each caller
     applies its own stopping rule.
@@ -87,6 +89,42 @@ def dual_fista(g: np.ndarray, graph, project):
 
 def project_box(phi: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return np.clip(phi, -bound, bound)
+
+
+def prox_power_conjugate(z: np.ndarray, a: np.ndarray, L: float,
+                         q: float) -> np.ndarray:
+    """Edgewise prox of h*/L at z, h*(phi) = a*|phi/a|^q/q with a > 0, q > 2:
+    the conjugate of h(d) = a*|d|^p/p, 1/p + 1/q = 1.
+
+    The result keeps the sign of z; its magnitude is a*r with r the root of
+    (L*a)*(r - |z|/a) + r^(q-1) = 0: in closed form at q = 3 (p = 3/2), else
+    by `power_root`.  Working in r = phi/a keeps q large (p near 1) from
+    overflowing or underflowing (a^(1-q) never appears).
+    """
+    if q == 3.0:
+        # r = 2*rho / (1 + sqrt(1 + 4*rho/(L*a))), rho = |z|/a: the root of
+        # r^2 + L*a*(r - rho), written without cancellation
+        return z * (2.0 / (1.0 + np.sqrt(1.0 + (4.0 / L) * np.abs(z) / (a * a))))
+    return np.sign(z) * a * power_root(np.abs(z) / a, L * a, q)
+
+
+def power_root(rho, c, q: float):
+    """The r in [0, rho] with c*(r - rho) + r^(q-1) = 0, for rho >= 0, c > 0
+    and q > 2, by Newton's method, vectorized over rho and c.
+
+    The left side is increasing and convex in r >= 0.  Both rho and
+    (c*rho)^(1/(q-1)) lie at or right of the root, and the root is at least
+    half the smaller of them, so Newton's steps from that smaller bound
+    never overshoot, stay in [0, rho] and decrease to the root.
+    """
+    rho, c = np.asarray(rho, dtype=float), np.asarray(c, dtype=float)
+    r = np.minimum(rho, np.power(c * rho, 1.0 / (q - 1.0)))
+    for _ in range(100):
+        step = (c * (r - rho) + r ** (q - 1.0)) / (c + (q - 1.0) * r ** (q - 2.0))
+        if not np.any(step > 1e-15 * r):
+            break
+        r = np.maximum(r - np.maximum(step, 0.0), 0.0)
+    return r
 
 
 def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,

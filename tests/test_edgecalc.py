@@ -85,3 +85,58 @@ class TestProjectWeightedL1:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             edgecalc.project_weighted_l1(np.ones(2), np.ones(2), np.ones(2), -1.0)
+
+
+POWER_QS = (2.5, 3.0, 5.0, 21.0)
+POWER_RHOS = np.concatenate(([0.0], np.logspace(-12, 12, 97)))
+POWER_CS = (1e-3, 1.0, 1e6)
+
+
+def closed_form_or_newton(rho, c, q):
+    """r from `prox_power_conjugate` at z = rho, a = 1, L = c: the q = 3
+    closed form, else the Newton solve."""
+    return edgecalc.prox_power_conjugate(rho, np.ones_like(rho), c, q)
+
+
+class TestPowerConjugateProx:
+    @pytest.mark.parametrize("q", POWER_QS)
+    @pytest.mark.parametrize("root", [closed_form_or_newton, edgecalc.power_root])
+    def test_root_solves_the_equation(self, q, root):
+        for c in POWER_CS:
+            r = root(POWER_RHOS, c, q)
+            assert np.all((r >= 0.0) & (r <= POWER_RHOS))
+            residual = c * (r - POWER_RHOS) + r ** (q - 1.0)
+            assert np.all(np.abs(residual) <= 1e-12 * c * POWER_RHOS)
+            assert r[0] == 0.0
+
+    def test_closed_form_matches_newton(self):
+        for c in POWER_CS:
+            closed = closed_form_or_newton(POWER_RHOS, c, 3.0)
+            newton = edgecalc.power_root(POWER_RHOS, c, 3.0)
+            assert np.allclose(closed, newton, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("q", POWER_QS)
+    def test_prox_keeps_sign_and_solves_optimality(self, q):
+        rng = np.random.default_rng(int(q))
+        z = rng.standard_normal(200) * 10.0 ** rng.uniform(-6, 6, 200)
+        z[::7] = 0.0
+        a = 10.0 ** rng.uniform(-4, 2, 200)
+        for L in POWER_CS:
+            phi = edgecalc.prox_power_conjugate(z, a, L, q)
+            assert np.array_equal(np.sign(phi), np.sign(z))
+            assert np.all(phi[z == 0.0] == 0.0)
+            # a * (|z|/a) may round one ulp above |z|
+            assert np.all(np.abs(phi) <= np.abs(z) * (1.0 + 1e-15))
+            # L*(phi - z) + h*'(phi) = 0, h*'(phi) = sign(phi)*|phi/a|^(q-1)
+            grad = np.sign(phi) * np.abs(phi / a) ** (q - 1.0)
+            assert np.all(np.abs(L * (phi - z) + grad) <= 1e-12 * L * np.abs(z))
+            want = np.sign(z) * a * edgecalc.power_root(np.abs(z) / a, L * a, q)
+            assert np.allclose(phi, want, rtol=1e-13, atol=0.0)
+
+    def test_large_q_does_not_overflow(self):
+        # p = 1.01: a^(1-q) = (1e-4)^(-100) would overflow
+        z = np.array([-1e3, -1.0, 0.0, 1e-8, 5.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            phi = edgecalc.prox_power_conjugate(z, np.full(5, 1e-4), 8.0, 101.0)
+        assert np.all(np.isfinite(phi))
+        assert np.array_equal(np.sign(phi), np.sign(z))

@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nlspec as nl
 from nlspec import edgecalc, errors
+
+prox_module = importlib.import_module("nlspec.prox")
 
 
 def path_graph(n, w=1.0, measure=None):
@@ -88,6 +92,18 @@ class TestBruteForceOracle:
         F = nl.make_functional("l1", n=5)
         with pytest.raises(errors.DimensionTooLarge):
             nl.brute_force_prox(F, np.zeros(5), 0.1)
+
+    def test_searches_free_nodes_only(self):
+        """The limit of 4 counts the nodes a Dirichlet boundary leaves free."""
+        g = nl.build_grid_graph(nl.GridSpec(width=4, boundary_mode="dirichlet"))
+        F = nl.make_functional("graph_tv", g)
+        f = nl.core.clamp_boundary(F, np.random.default_rng(4).uniform(-1, 1, g.n))
+        ub = nl.brute_force_prox(F, f, 0.3)
+        assert g.n == 6 and ub[0] == 0.0 and ub[-1] == 0.0
+        assert np.max(np.abs(nl.prox(F, f, 0.3, tol=1e-12).u - ub)) <= 1e-3
+        g = nl.build_grid_graph(nl.GridSpec(width=5, boundary_mode="dirichlet"))
+        with pytest.raises(errors.DimensionTooLarge):
+            nl.brute_force_prox(nl.make_functional("graph_tv", g), np.zeros(7), 0.1)
 
 
 class TestNonvanishingBound:
@@ -214,27 +230,72 @@ class TestRestartedDualFista:
             assert g.grad_div_opnorm == compute(i_idx, j_idx, g.node_measure,
                                                 g.interior_mask)
 
-    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup", "dirichlet_p"])
     def test_matches_brute_force(self, kind):
-        """Within 1e-3 of the grid-search oracle on 3-node paths.  On the
-        4-node Dirichlet path the oracle searches the two clamped nodes too
-        and can stop 2e-3 away, so there the prox must be at least as good."""
+        """Within 1e-3 of the grid-search oracle on 3-node paths and on the
+        4-node Dirichlet path, whose oracle searches only the 2 free nodes."""
         graphs = [path_graph(3), path_graph(3, w=2.0, measure=[1.0, 0.5, 2.0]),
                   nl.build_grid_graph(nl.GridSpec(width=2,
                                                   boundary_mode="dirichlet"))]
         rng = np.random.default_rng(3)
         for g in graphs:
-            F = nl.make_functional(kind, g)
+            F = nl.make_functional(kind, g, p=1.5) if kind == "dirichlet_p" \
+                else nl.make_functional(kind, g)
             for _ in range(15):
                 f = nl.core.clamp_boundary(F, rng.uniform(-1, 1, g.n))
                 sigma = rng.uniform(0.1, 0.8)
                 sol = nl.prox(F, f, sigma, tol=1e-12)
                 assert sol.converged
                 ub = nl.brute_force_prox(F, f, sigma)
-                if F.has_boundary:
-                    def objective(u):
-                        return (0.5 * nl.norm(u - f, F.measure) ** 2
-                                + sigma * nl.evaluate(F, u))
-                    assert objective(sol.u) <= objective(ub) + 1e-12
-                else:
-                    assert np.max(np.abs(sol.u - ub)) <= 1e-3
+                assert np.max(np.abs(sol.u - ub)) <= 1e-3
+
+
+def pdirichlet_grid(p, boundary_mode="neumann", width=16, spacing=1.0):
+    g = nl.build_grid_graph(nl.GridSpec(width=width, height=width, spacing=spacing,
+                                        boundary_mode=boundary_mode))
+    return nl.make_functional("dirichlet_p", g, p=p)
+
+
+class TestPDirichletDual:
+    """dirichlet_p with 1 < p < 2 takes the dual kernel; p >= 2 L-BFGS."""
+
+    def test_converges_on_128_grid(self):
+        F = pdirichlet_grid(1.5, width=128, spacing=1 / 128)
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        sol = nl.prox(F, f, 0.01, tol=1e-8)
+        assert sol.converged
+
+    @pytest.mark.parametrize("boundary_mode", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+    def test_matches_lbfgs_route(self, p, boundary_mode):
+        F = pdirichlet_grid(p, boundary_mode)
+        f = nl.core.clamp_boundary(F, np.random.default_rng(1).standard_normal(F.dim))
+        sol = nl.prox(F, f, 0.1, tol=1e-12)
+        u, _, _, ok = prox_module._prox_dirichlet_smooth(F, f, 0.1, 1e-12, 50000)
+        assert sol.converged and ok
+        assert nl.norm(sol.u - u, F.measure) <= 1e-6 * nl.norm(u, F.measure)
+
+    @pytest.mark.parametrize("boundary_mode", ["neumann", "dirichlet"])
+    def test_p_near_one_converges(self, boundary_mode):
+        F = pdirichlet_grid(1.05, boundary_mode)
+        f = np.random.default_rng(2).standard_normal(F.dim)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = nl.prox(F, f, 0.1)
+        assert sol.converged and np.isfinite(sol.gap)
+
+    def test_route_by_p(self, monkeypatch):
+        calls = []
+        minimize = prox_module.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(prox_module, "minimize", counted)
+        f = np.random.default_rng(3).standard_normal(16)
+        for p, lbfgs in ((1.05, False), (1.5, False), (1.99, False),
+                         (2.0, True), (3.0, True)):
+            F = pdirichlet_grid(p, width=4)
+            del calls[:]
+            assert nl.prox(F, f, 0.3, tol=1e-12).converged
+            assert bool(calls) == lbfgs, p

@@ -282,7 +282,8 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
     - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
       subtracts: 0 for the indicators.
 
-    The edgecalc maps are looked up at call time.
+    The edgecalc maps, and L, are looked up at call time, so a caller that
+    only needs h* never computes L.
     """
     w = F.graph.edge_arrays[2]
     if F.kind == "lipschitz_sup":
@@ -291,8 +292,9 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
                 _zero_conjugate)
     a = sigma * w
     if F.kind == "dirichlet_p" and F.p > 1.0:
-        q, L = F.p / (F.p - 1.0), F.graph.grad_div_opnorm
-        return (lambda psi: edgecalc.prox_power_conjugate(psi, a, L, q),
+        q, graph = F.p / (F.p - 1.0), F.graph
+        return (lambda psi: edgecalc.prox_power_conjugate(
+                    psi, a, graph.grad_div_opnorm, q),
                 lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q)
     return lambda psi: edgecalc.project_box(psi, a), _zero_conjugate
 
@@ -301,8 +303,7 @@ def _zero_conjugate(psi):
     return 0.0
 
 
-def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
-                         max_iter: int = 20000) -> bool:
+def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     """Is zeta in K_J = dJ(0) = {z : <z,u> <= J(u) for all u}?
 
     Only defined for one-homogeneous functionals.  For graph functionals the
@@ -319,25 +320,25 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9,
         return float(np.sum(m * np.abs(zeta))) <= 1.0 + tol
     # graph_tv / lipschitz_sup / dirichlet_p(p=1): zeta must be a divergence
     # of an admissible edge flow; Dirichlet nodes carry no constraint.
-    i_idx, j_idx, _ = F.graph.edge_arrays
-    interior = F.graph.interior_mask
+    zeta = clamp_boundary(F, zeta)
+    graph = F.graph
+    i_idx, j_idx, _ = graph.edge_arrays
     scale = norm(zeta, m)
     if scale == 0.0:
         return True
-    # stop once a step of the fit no longer moves the flow; L is the bound
-    # the kernel takes its 1/L steps with
-    L = F.graph.grad_div_opnorm
+    # stop once a step of the fit no longer moves the flow, or after 20,000
+    # steps; L is the bound the kernel takes its 1/L steps with
+    L = graph.grad_div_opnorm
     fit_tol = tol * scale
     psi = np.zeros(len(i_idx))
     project, _ = dual_flow_prox(F, 1.0)
-    iterates = edgecalc.dual_fista(zeta, F.graph, project)
-    for it, psi_new in enumerate(islice(iterates, max_iter)):
+    iterates = edgecalc.dual_fista(zeta, graph, project)
+    for it, psi_new in enumerate(islice(iterates, 20000)):
         step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
         psi = psi_new
         if it > 10 and step * L < 0.01 * fit_tol:
             break
-    r = edgecalc.edge_div(psi, i_idx, j_idx, m) - zeta
-    r[~interior] = 0.0
+    r = edgecalc.edge_div(psi, i_idx, j_idx, m, graph.interior_mask) - zeta
     return norm(r, m) <= tol * (1.0 + scale)
 
 

@@ -4,10 +4,11 @@ Discrete gradient/divergence pair, operator-norm estimation, the exact
 projections and the edgewise p-power prox used by the dual prox solvers, and
 the dual FISTA kernel they share.  The pairing convention is
 
-    <div(phi), u>_m = sum_e phi_e * (u_j - u_i),
+    <div(phi), u>_m = sum_e phi_e * (u_j - u_i)  for u = 0 on Dirichlet nodes,
 
 i.e. ``edge_div`` is the adjoint of ``edge_diff`` w.r.t. the node-measure
-weighted inner product.
+weighted inner product on boundary-zero signals.  It is exactly 0 on the
+Dirichlet nodes, so every signal it returns is one of those.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ def edge_diff(u: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray
 
 
 def edge_div(phi: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
-             measure: np.ndarray) -> np.ndarray:
+             measure: np.ndarray, interior: np.ndarray) -> np.ndarray:
     out = np.zeros(len(measure))
     np.add.at(out, j_idx, phi)
     np.subtract.at(out, i_idx, phi)
-    return out / measure
+    out /= measure
+    out[~interior] = 0.0
+    return out
 
 
 def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
                     interior: np.ndarray, iters: int = 200,
                     seed: int = 0) -> float:
-    """Spectral norm of phi -> edge_diff(mask(edge_div(phi))).
+    """Spectral norm of phi -> edge_diff(edge_div(phi)).
 
     Estimated by power iteration on the (symmetric PSD) edge-space operator;
     a 1% safety factor makes the returned value a usable Lipschitz bound.
@@ -43,9 +46,8 @@ def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
     phi /= np.linalg.norm(phi) + 1e-300
     lam = 0.0
     for _ in range(iters):
-        r = edge_div(phi, i_idx, j_idx, measure)
-        r[~interior] = 0.0
-        q = edge_diff(r, i_idx, j_idx)
+        q = edge_diff(edge_div(phi, i_idx, j_idx, measure, interior),
+                      i_idx, j_idx)
         lam = float(np.linalg.norm(q))
         if lam == 0.0:
             return 1.0
@@ -56,11 +58,11 @@ def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
 def dual_fista(g: np.ndarray, graph, project):
     """Yield the iterates psi_1, psi_2, ... of FISTA (Beck & Teboulle 2009) on
 
-        min_psi 0.5*||div(psi) - g||^2_m over interior nodes + sum_e h*_e(psi_e)
+        min_psi 0.5*||div(psi) - g||^2_m + sum_e h*_e(psi_e)
 
-    on the edges, node measure and interior of `graph`, with constant step
-    1/L, L = graph.grad_div_opnorm >= the norm of
-    phi -> edge_diff(mask(edge_div(phi))).  `project` is the edgewise prox of
+    for g = 0 on the Dirichlet nodes, on the edges, node measure and interior
+    of `graph`, with constant step 1/L, L = graph.grad_div_opnorm >= the norm
+    of phi -> edge_diff(edge_div(phi)).  `project` is the edgewise prox of
     h*/L, applied after each gradient step; a projection is the case where
     h* is the indicator of a set (the dual proximal gradient method of Beck
     & Teboulle, Oper. Res. Lett. 2014).  The momentum restarts (t = 1)
@@ -69,14 +71,13 @@ def dual_fista(g: np.ndarray, graph, project):
     applies its own stopping rule.
     """
     i_idx, j_idx, _ = graph.edge_arrays
-    measure, outside = graph.node_measure, ~graph.interior_mask
+    measure, interior = graph.node_measure, graph.interior_mask
     L = graph.grad_div_opnorm
     psi = np.zeros(len(i_idx))
     y = psi
     t = 1.0
     while True:
-        r = edge_div(y, i_idx, j_idx, measure) - g
-        r[outside] = 0.0
+        r = edge_div(y, i_idx, j_idx, measure, interior) - g
         psi_new = project(y - edge_diff(r, i_idx, j_idx) / L)
         step = psi_new - psi
         if np.dot(y - psi_new, step) > 0.0:

@@ -63,10 +63,9 @@ def default_step_size(F: FunctionalHandle, f) -> float:
     return 0.1 * prox_nonvanishing_bound(F, f)
 
 
-def run_flow(F: FunctionalHandle, f, tau: float = None, schedule=None,
-             max_steps: int = 1000, time_horizon: float = None,
-             extinction_tol: float = 1e-8, prox_tol: float = 1e-11,
-             store_iterates: bool = False) -> FlowTrace:
+def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
+             time_horizon: float = None, extinction_tol: float = 1e-8,
+             prox_tol: float = 1e-11, store_iterates: bool = False) -> FlowTrace:
     f = clamp_boundary(F, as_signal(f, F.dim))
     m = F.measure
     u_inf = project_nullspace(F, f)
@@ -98,14 +97,16 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, schedule=None,
             raise BadStep("step size must be positive")
         t_acc = 0.0
         for k in range(1, max_steps + 1):
-            tau_k = schedule(k, t_acc, dists[-1]) if schedule else tau
-            sol = None
-            for _ in range(4):
+            # up to four attempts, halving the step before each retry; the
+            # step kept is the one the last solution used
+            tau_k = tau
+            for attempt in range(4):
+                if attempt:
+                    tau_k *= 0.5
                 sol = prox(F, u, tau_k, tol=prox_tol)
                 if sol.converged:
                     break
-                warnings.append(f"step {k}: prox not converged at tau={tau_k}, halving")
-                tau_k *= 0.5
+                warnings.append(f"step {k}: prox not converged at tau={tau_k}")
             gap_total += sol.gap
             u_next, zeta = sol.u, sol.zeta
             t_acc += tau_k
@@ -143,15 +144,13 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, schedule=None,
         prox_gap_total=gap_total, warnings=warnings, us=us)
 
 
-def decompose(trace: FlowTrace, f=None):
+def decompose(trace: FlowTrace):
     """Spectral bands tau_k * zeta_k; their sum plus the nullspace part and
-    the unextinguished remainder reconstructs f."""
-    if f is None:
-        f = trace.f
+    the unextinguished remainder reconstructs the flow's input f."""
     bands = [trace.tau[k] * trace.zetas[k] for k in range(1, len(trace.zetas))]
     remainder = trace.u_last - trace.u_infinity
     recon = trace.u_infinity + remainder + (np.sum(bands, axis=0) if bands else 0.0)
-    residual = float(np.linalg.norm(f - recon))
+    residual = float(np.linalg.norm(trace.f - recon))
     return {
         "bands": bands,
         "nullspace_part": trace.u_infinity,
@@ -161,8 +160,8 @@ def decompose(trace: FlowTrace, f=None):
 
 
 def extinction_report(trace: FlowTrace, F: FunctionalHandle,
-                      lambda1_estimate: float = None,
-                      extra_directions=(), n_random: int = 32, seed: int = 0):
+                      lambda1_estimate: float = None, n_random: int = 32,
+                      seed: int = 0):
     """Measured extinction time plus the theoretical upper/lower bounds."""
     p = trace.degree
     m = F.measure
@@ -176,7 +175,6 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
     if p == 1:
         g = trace.f - trace.u_infinity
         candidates = [g]
-        candidates.extend(np.asarray(v, dtype=float) for v in extra_directions)
         eye = np.eye(F.dim)
         candidates.extend(eye[i] for i in range(min(F.dim, 64)))
         rng = np.random.default_rng(seed)
@@ -240,9 +238,10 @@ def check_decay_envelopes(trace: FlowTrace, F: FunctionalHandle,
 
 
 def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle, samples: int = 32,
-                      seed: int = 0, max_triples: int = 64):
+                      seed: int = 0):
     """Eigen certificates of each band subgradient (degree-1 functionals) plus
-    the pairwise orthogonality residual max |<zeta_t, zeta_s - zeta_r>|."""
+    the orthogonality residual max |<zeta_t, zeta_s - zeta_r>| over all
+    bands r <= s <= t."""
     if F.degree != 1:
         raise UnsupportedFunctional("band scores only defined for degree-1 functionals")
     m = F.measure
@@ -254,18 +253,11 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle, samples: int = 32,
             certs.append(EigenCertificate(0.0, 0.0, 0.0))
             continue
         certs.append(eigen_certificate(F, z, nz, samples=samples, seed=seed + k))
-    ks = list(range(1, len(trace.zetas)))
-    if len(ks) > max_triples:
-        pick = np.linspace(0, len(ks) - 1, max_triples).astype(int)
-        ks = [ks[i] for i in sorted(set(pick.tolist()))]
-    ortho = 0.0
-    for a in range(len(ks)):
-        for b in range(a, len(ks)):
-            for c in range(b, len(ks)):
-                r, s, tt = ks[a], ks[b], ks[c]
-                val = abs(inner(trace.zetas[tt],
-                                trace.zetas[s] - trace.zetas[r], m))
-                ortho = max(ortho, val)
+    Z = np.reshape(trace.zetas[1:], (-1, F.dim))
+    G = (Z * m) @ Z.T  # G[t, s] = <zeta_t, zeta_s>
+    # for each t, the worst pair r <= s <= t spans the range of G[t, :t+1]
+    spread = np.maximum.accumulate(G, axis=1) - np.minimum.accumulate(G, axis=1)
+    ortho = float(np.max(np.diagonal(spread), initial=0.0))
     return {"certificates": certs, "orthogonality_residual": ortho}
 
 

@@ -4,7 +4,7 @@ prox_{sigma J}(f) = argmin 0.5*||u - f||^2_m + sigma*J(u), with a certified
 optimality gap per call and a brute-force oracle for cross-checking.
 
 Methods by kind:
-  quadratic_form   conjugate gradients on (M + sigma*A) u = M f
+  quadratic_form   exact spectral filter in the stored eigenbasis
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact sort-based projection onto the scaled dual l1 ball
   graph_tv         FISTA with adaptive restart on the dual edge-flow
@@ -14,12 +14,11 @@ Methods by kind:
   dirichlet_p      the same dual kernel for 1 < p < 2, with the edgewise prox
                    of the conjugate sigma*w*|psi/(sigma*w)|^q/q, q = p/(p-1),
                    in place of a projection; L-BFGS on the (smooth) primal
-                   for p >= 2.  Both certify with the Fenchel gap.
+                   for p >= 2.  Both certify with one Fenchel gap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -46,7 +45,7 @@ class ProxSolution:
     u: np.ndarray
     zeta: np.ndarray  # (f - u) / sigma, a subgradient at u when converged
     # dual FISTA iterations (graph_tv, lipschitz_sup, dirichlet_p with
-    # p < 2), L-BFGS iterations (dirichlet_p with p >= 2), CG steps or 0
+    # p < 2), L-BFGS iterations (dirichlet_p with p >= 2), or 0
     iterations: int
     gap: float
     converged: bool
@@ -63,7 +62,7 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
     f = clamp_boundary(F, as_signal(f, F.dim))
 
     if F.kind == "quadratic_form":
-        u, its, gap, ok = _prox_quadratic(F, f, sigma, tol, max_iter)
+        u, its, gap, ok = _prox_quadratic(F, f, sigma, tol)
     elif F.kind == "l1":
         u = np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0)
         its, gap, ok = 0, 0.0, True
@@ -83,128 +82,95 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
     return ProxSolution(u=u, zeta=zeta, iterations=its, gap=gap, converged=ok)
 
 
-def _prox_quadratic(F, f, sigma, tol, max_iter):
+def _prox_quadratic(F, f, sigma, tol):
+    """The exact solution of (M + sigma*A) u = M f in the m-orthonormal
+    eigenbasis V of A v = lam*M v that `make_functional` stores:
+    u = V (V^T M f) / (1 + sigma*lam).  Its residual r bounds the gap by
+    0.5*||r||^2/min(m)."""
     m = F.measure
-    A = F.matrix
-    b = m * f
-
-    def apply_B(x):
-        return m * x + sigma * (A @ x)
-
-    u = f.copy()
-    r = b - apply_B(u)
-    p = r.copy()
-    rr = float(r @ r)
-    nb = math.sqrt(float(b @ b)) + 1e-300
-    # CG converges in at most n steps in exact arithmetic; drive the residual
-    # to machine precision so the gap bound 0.5*||r||^2/min(m) is negligible
-    target = 1e-15 * nb
-    its = 0
-    for its in range(1, min(max_iter, 20 * len(f) + 50) + 1):
-        if math.sqrt(rr) <= target:
-            break
-        Bp = apply_B(p)
-        pBp = float(p @ Bp)
-        if pBp <= 0.0:
-            break
-        alpha = rr / pBp
-        u = u + alpha * p
-        r = r - alpha * Bp
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    gap = 0.5 * rr / float(np.min(m))
+    V = F._quad_eigvecs
+    u = V @ ((V.T @ (m * f)) / (1.0 + sigma * F._quad_eigvals))
+    r = m * (f - u) - sigma * (F.matrix @ u)
+    gap = 0.5 * float(r @ r) / float(np.min(m))
     pval = 0.5 * norm(u - f, m) ** 2 + sigma * evaluate(F, u)
-    ok = gap <= tol * (1.0 + abs(pval))
-    return u, its, gap, ok
+    return u, 0, gap, gap <= tol * (1.0 + abs(pval))
+
+
+def _fenchel_gap(F, f, sigma, u, d, hstar):
+    """P(u) and the gap P(u) - D(psi) of the graph prox and its dual, from
+    d = div(psi) and hstar = sum_e h*_e(psi_e) (`core.dual_flow_prox`):
+
+        P(u)   = 0.5*||u - f||^2_m + sigma*J(u)
+        D(psi) = <f, d>_m - 0.5*||d||^2_m - h*(psi)
+    """
+    m = F.measure
+    pval = 0.5 * norm(u - f, m) ** 2 + sigma * evaluate(F, u)
+    dval = -0.5 * norm(d, m) ** 2 + inner(f, d, m) - hstar
+    return pval, pval - dval
 
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
     graph = F.graph
     i_idx, j_idx, _ = graph.edge_arrays
-    m = graph.node_measure
-    interior = graph.interior_mask
-    fc = f.copy()
-    fc[~interior] = 0.0
-
     project, conjugate = dual_flow_prox(F, sigma)
 
-    def primal_dual(psi):
-        d = edgecalc.edge_div(psi, i_idx, j_idx, m)
-        d[~interior] = 0.0
-        u = fc - d
-        u[~interior] = 0.0
-        pval = 0.5 * norm(u - fc, m) ** 2 + sigma * evaluate(F, u)
-        dval = -0.5 * norm(d, m) ** 2 + inner(fc, d, m) - conjugate(psi)
-        return u, pval, pval - dval
+    def primal_gap(psi):
+        d = edgecalc.edge_div(psi, i_idx, j_idx, graph.node_measure,
+                              graph.interior_mask)
+        u = f - d
+        return (u, *_fenchel_gap(F, f, sigma, u, d, conjugate(psi)))
 
-    u, pval, gap = primal_dual(np.zeros(len(i_idx)))
-    best = (u, gap)
+    best = primal_gap(np.zeros(len(i_idx)))
     its = 0
-    iterates = edgecalc.dual_fista(fc, graph, project)
+    iterates = edgecalc.dual_fista(f, graph, project)
     for its, psi in enumerate(islice(iterates, max_iter), start=1):
         if its % 5 == 0 or its == max_iter:
-            u, pval, gap = primal_dual(psi)
-            if gap < best[1]:
-                best = (u, gap)
+            u, pval, gap = primal_gap(psi)
             if gap <= tol * (1.0 + abs(pval)):
                 return u, its, gap, True
-    u, gap = best
-    pval = 0.5 * norm(u - fc, m) ** 2 + sigma * evaluate(F, u)
+            if gap < best[2]:
+                best = (u, pval, gap)
+    u, pval, gap = best
     return u, its, gap, gap <= tol * (1.0 + abs(pval))
 
 
 def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
+    """L-BFGS on the smooth primal over all nodes: a clamped node starts at
+    0 with zero gradient, so it stays there."""
     graph = F.graph
     i_idx, j_idx, w = graph.edge_arrays
-    m = graph.node_measure
-    interior = graph.interior_mask
+    m, interior = graph.node_measure, graph.interior_mask
     p = F.p
-    q = p / (p - 1.0)
-    fc = f.copy()
-    fc[~interior] = 0.0
-    idx_int = np.where(interior)[0]
+    _, conjugate = dual_flow_prox(F, sigma)
 
-    def full(x):
-        u = np.zeros(F.dim)
-        u[idx_int] = x
-        return u
+    def div_flow(u):
+        # the flow sigma*w*|du|^(p-1)*sign(du) that is the gradient of
+        # sigma*J at u, and its divergence
+        du = edgecalc.edge_diff(u, i_idx, j_idx)
+        phi = sigma * w * np.abs(du) ** (p - 1.0) * np.sign(du)
+        return du, phi, edgecalc.edge_div(phi, i_idx, j_idx, m, interior)
 
-    def objective(x):
-        u = full(x)
-        d = edgecalc.edge_diff(u, i_idx, j_idx)
-        val = 0.5 * float(np.sum(m[idx_int] * (x - fc[idx_int]) ** 2))
-        val += sigma / p * float(np.sum(w * np.abs(d) ** p))
-        phi = sigma * w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        div = edgecalc.edge_div(phi, i_idx, j_idx, m)[idx_int]
-        grad = m[idx_int] * (x - fc[idx_int] + div)
-        return val, grad
+    def objective(u):
+        du, _, d = div_flow(u)
+        val = 0.5 * float(np.sum(m * (u - f) ** 2))
+        val += sigma / p * float(np.sum(w * np.abs(du) ** p))
+        return val, m * (u - f + d)
 
-    def fenchel_gap(x):
-        u = full(x)
-        d = edgecalc.edge_diff(u, i_idx, j_idx)
-        pval = 0.5 * norm(u - fc, m) ** 2 + sigma * evaluate(F, u)
-        phi = sigma * w * np.abs(d) ** (p - 1.0) * np.sign(d)
-        y = -m[idx_int] * edgecalc.edge_div(phi, i_idx, j_idx, m)[idx_int]
-        fstar = float(y @ fc[idx_int]) + 0.5 * float(np.sum(y * y / m[idx_int]))
-        gstar = float(np.sum((sigma * w) ** (1.0 - q) * np.abs(phi) ** q)) / q
-        dval = -fstar - gstar
-        return pval, pval - dval
-
-    x = fc[idx_int].copy()
+    u = f
     its = 0
     ftol = 1e-14
     for _ in range(6):
-        res = minimize(objective, x, jac=True, method="L-BFGS-B",
+        res = minimize(objective, u, jac=True, method="L-BFGS-B",
                        options={"maxiter": max_iter, "ftol": ftol,
                                 "gtol": 1e-12, "maxcor": 20})
-        x = res.x
+        u = res.x
         its += res.nit
-        pval, gap = fenchel_gap(x)
+        _, phi, d = div_flow(u)
+        pval, gap = _fenchel_gap(F, f, sigma, u, d, conjugate(phi))
         if gap <= tol * (1.0 + abs(pval)):
-            return full(x), its, gap, True
+            return u, its, gap, True
         ftol *= 1e-2
-    return full(x), its, gap, False
+    return u, its, gap, False
 
 
 def brute_force_prox(F: FunctionalHandle, f, sigma: float, radius: float = 2.0,

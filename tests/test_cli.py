@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import importlib
 import os
 
 import numpy as np
@@ -7,6 +9,8 @@ import yaml
 
 import nlspec as nl
 from nlspec import cli
+
+flow_module = importlib.import_module("nlspec.flow")
 
 
 def write_config(path, cfg):
@@ -260,6 +264,62 @@ class TestFlowRun:
         assert manifest["seed_from_env"] is True
 
 
+class TestInputs:
+    def test_signal_file_round_trips(self, tmp_path):
+        """A two-column `index value` file as `write_signal` writes it, here
+        a run's own u_last, is a valid input file."""
+        first = tmp_path / "first"
+        assert cli.main(["run", write_config(tmp_path / "a.yaml",
+                                             flow_config(first))]) == 0
+        u_last = first / "signals" / "u_last.txt"
+        second = tmp_path / "second"
+        cfg = flow_config(second, input={"file": str(u_last)})
+        assert cli.main(["run", write_config(tmp_path / "b.yaml", cfg)]) == 0
+        assert (second / "signals" / "input.txt").read_bytes() == u_last.read_bytes()
+
+    def test_oracle_eigenvector_generator(self, tmp_path):
+        """The p = 2 flow of a Laplacian eigenvector keeps its Rayleigh
+        quotient, the eigenvalue."""
+        out = tmp_path / "out"
+        cfg = flow_config(out, functional={"kind": "dirichlet_p", "p": 2.0},
+                          input={"generator": {"name": "oracle_eigenvector",
+                                               "index": 1}},
+                          options={"tau": 0.2, "max_steps": 5, "prox_tol": 1e-12})
+        assert cli.main(["run", write_config(tmp_path / "c.yaml", cfg)]) == 0
+        g = nl.build_grid_graph(nl.GridSpec(width=6))
+        spec = nl.dense_symmetric_eigs(nl.laplacian_matrix(g))
+        f = np.loadtxt(out / "signals" / "input.txt")[:, 1]
+        assert np.allclose(f, spec.eigenvectors[:, 1], atol=1e-15)
+        with open(out / "trace.csv") as fh:
+            lams = [float(r["Lambda"]) for r in csv.DictReader(fh)]
+        assert np.allclose(lams, spec.eigenvalues[1], rtol=1e-8)
+
+
+class TestStrict:
+    """A step whose prox never converges is kept with a warning; --strict
+    turns the warning into exit code 1."""
+
+    @pytest.fixture
+    def unconverged(self, monkeypatch):
+        prox = flow_module.prox
+
+        def never_converged(*args, **kwargs):
+            return dataclasses.replace(prox(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(flow_module, "prox", never_converged)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_unconverged_step(self, tmp_path, unconverged, strict):
+        out = tmp_path / "out"
+        cfg = flow_config(out, options={"tau": 0.05, "max_steps": 3})
+        argv = ["run", write_config(tmp_path / "c.yaml", cfg)]
+        assert cli.main(argv + ["--strict"] * strict) == int(strict)
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert len(manifest["warnings"]) == 12
+        assert "prox not converged at tau=0.00625" in manifest["warnings"][3]
+        assert manifest["resolved"]["tau"] == 0.00625
+
+
 class TestFlagOrder:
     @pytest.mark.parametrize("after_run", [True, False])
     def test_run_flags_either_side_of_run(self, tmp_path, after_run):
@@ -316,6 +376,20 @@ class TestOracleRun:
         d = np.loadtxt(out / "signals" / "distance.txt")[:, 1]
         assert np.allclose(d, [0, 1, 2, 1, 0])
         assert (out / "oracle.csv").exists()
+
+
+    def test_quadratic_form_spectrum(self, tmp_path):
+        out = tmp_path / "out"
+        A = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
+        p = write_config(tmp_path / "c.yaml", {
+            "functional": {"kind": "quadratic_form", "matrix": A},
+            "command": "oracle", "output_dir": str(out)})
+        assert cli.main(["run", p]) == 0
+        with open(out / "oracle.csv") as fh:
+            lams = [float(r["eigenvalue"]) for r in csv.DictReader(fh)]
+        assert np.allclose(lams, np.linalg.eigvalsh(A), atol=1e-12)
+        v = np.loadtxt(out / "signals" / "eigenvector_0.txt")[:, 1]
+        assert np.allclose(np.asarray(A) @ v, lams[0] * v, atol=1e-12)
 
 
 class TestExplicitGraph:
@@ -425,3 +499,17 @@ class TestValidateCommand:
         assert cli.main(["validate", "--filter", "oracles."]) == 0
         assert called == ["oracles.kept"]
         assert "1/1 checks passed" in capsys.readouterr().out
+
+    def test_run_config_command(self, tmp_path, monkeypatch, capsys):
+        """`command: validate` in a run config runs the whole suite and exits
+        2 on a failed check."""
+        from nlspec import validation
+        monkeypatch.setattr(validation, "CHECKS", [
+            ("a.passes", lambda: (True, "ok")),
+            ("b.fails", lambda: (False, "broken"))])
+        p = write_config(tmp_path / "c.yaml", {
+            "functional": {"kind": "l1", "n": 2}, "command": "validate"})
+        assert cli.main(["run", p]) == 2
+        out = capsys.readouterr().out
+        assert "a.passes" in out and "b.fails" in out
+        assert "1/2 checks passed" in out

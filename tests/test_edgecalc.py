@@ -140,3 +140,35 @@ class TestPowerConjugateProx:
             phi = edgecalc.prox_power_conjugate(z, np.full(5, 1e-4), 8.0, 101.0)
         assert np.all(np.isfinite(phi))
         assert np.array_equal(np.sign(phi), np.sign(z))
+
+
+def random_dirichlet_graph(rng, n):
+    """A connected weighted graph (a random spanning tree plus extra edges)
+    with 1-3 Dirichlet nodes and a node measure that is not dyadic."""
+    pairs = {(int(rng.integers(k)), k) for k in range(1, n)}
+    while len(pairs) < min(2 * n, n * (n - 1) // 2):
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        pairs.add((i, j))
+    edges = [(i, j, rng.uniform(0.2, 3.0)) for i, j in sorted(pairs)]
+    boundary = rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist()
+    measure = rng.uniform(0.3, 2.0, n) / 3.0
+    return edges, boundary, measure
+
+
+class TestEdgeDiv:
+    def test_adjoint_on_boundary_zero_signals(self):
+        from nlspec import WeightedGraph
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(3, 30))
+            edges, boundary, measure = random_dirichlet_graph(rng, n)
+            g = WeightedGraph(n, edges, boundary=boundary, node_measure=measure)
+            i_idx, j_idx, _ = g.edge_arrays
+            interior = g.interior_mask
+            phi = rng.standard_normal(len(i_idx))
+            u = np.where(interior, rng.standard_normal(n), 0.0)
+            d = edgecalc.edge_div(phi, i_idx, j_idx, measure, interior)
+            assert np.all(d[~interior] == 0.0)
+            lhs = float(np.sum(measure * d * u))
+            rhs = float(phi @ edgecalc.edge_diff(u, i_idx, j_idx))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -1,9 +1,13 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import nlspec as nl
+
+flow_module = importlib.import_module("nlspec.flow")
 
 
 def path_graph(n, w=1.0, measure=None):
@@ -73,6 +77,26 @@ class TestRunFlow:
         tr = nl.run_flow(F, f, max_steps=5)
         spec = nl.dense_symmetric_eigs(nl.laplacian_matrix(g))
         assert tr.tau[1] == pytest.approx(0.1 / spec.eigenvalues[-1], rel=1e-8)
+
+    def test_unconverged_step_keeps_the_step_it_solved(self, monkeypatch):
+        """After four unconverged attempts the last solution is kept, and the
+        trace records the step that solution used."""
+        steps = []
+        prox = flow_module.prox
+
+        def unconverged(F, u, sigma, **kwargs):
+            steps.append(sigma)
+            return dataclasses.replace(prox(F, u, sigma, **kwargs), converged=False)
+
+        monkeypatch.setattr(flow_module, "prox", unconverged)
+        F = nl.make_functional("graph_tv", path_graph(6))
+        f = np.random.default_rng(4).standard_normal(6)
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=3)
+        assert steps == [0.05, 0.025, 0.0125, 0.00625] * 3
+        assert np.array_equal(tr.tau[1:], [0.00625] * 3)
+        assert tr.t[-1] == pytest.approx(3 * 0.00625)
+        assert len(tr.warnings) == 12
+        assert nl.decompose(tr)["reconstruction_residual"] <= 1e-14
 
     def test_horizon_stop(self):
         g = path_graph(4)
@@ -204,29 +228,21 @@ class TestBandEigenScores:
         with pytest.raises(nl.errors.UnsupportedFunctional):
             nl.band_eigen_scores(tr, F)
 
-
-class TestProfileConvergence:
-    def test_eigenvector_profile_constant(self):
-        F = two_node_tv()
-        f = np.array([1.0, -1.0])
-        tr = nl.run_flow(F, f, tau=0.1, prox_tol=1e-13, store_iterates=True)
-        pc = nl.profile_convergence(tr)
-        w_expected = f / nl.norm(f, F.measure)
-        assert np.allclose(pc["w_last"], w_expected, atol=1e-9)
-        res = pc["profile_residual_history"]
-        assert np.nanmax(res[1:]) <= 1e-9
-
-    def test_p2_profile_matches_ground_eigenvector(self):
-        g = path_graph(6)
-        L = nl.laplacian_matrix(g)
-        F = nl.make_functional("quadratic_form", matrix=L)
-        spec = nl.dense_symmetric_eigs(L)
-        rng = np.random.default_rng(8)
-        f = rng.standard_normal(6)
-        assert abs(f @ spec.eigenvectors[:, 1]) > 1e-3
-        tr = nl.run_flow(F, f, tau=0.05, max_steps=2000, time_horizon=40.0,
-                         store_iterates=True)
-        pc = nl.profile_convergence(tr)
-        v1 = spec.eigenvectors[:, 1]
-        cos = abs(pc["w_last"] @ v1) / np.linalg.norm(v1)
-        assert cos >= 0.999
+    def test_orthogonality_over_every_triple(self):
+        """More than 64 bands: the residual is the maximum over all triples
+        r <= s <= t.  A subsample of 64 bands misses the worst one here."""
+        g = path_graph(12, measure=np.linspace(0.5, 1.5, 12))
+        F = nl.make_functional("graph_tv", g)
+        f = np.random.default_rng(2).standard_normal(12)
+        tr = nl.run_flow(F, f, tau=0.03 * nl.prox_nonvanishing_bound(F, f),
+                         prox_tol=1e-12)
+        Z = np.array(tr.zetas[1:])
+        assert len(Z) > 64
+        brute = 0.0
+        for t in range(len(Z)):
+            for s in range(t + 1):
+                # every r <= s at once
+                vals = ((Z[s] - Z[:s + 1]) * F.measure) @ Z[t]
+                brute = max(brute, float(np.max(np.abs(vals))))
+        ortho = nl.band_eigen_scores(tr, F, samples=1)["orthogonality_residual"]
+        assert ortho == pytest.approx(brute, rel=1e-12)

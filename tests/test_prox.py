@@ -299,3 +299,33 @@ class TestPDirichletDual:
             del calls[:]
             assert nl.prox(F, f, 0.3, tol=1e-12).converged
             assert bool(calls) == lbfgs, p
+
+
+class TestQuadraticProx:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(4)
+        n = 60
+        B = rng.standard_normal((n, n))
+        A = B @ B.T / n
+        m = rng.uniform(0.2, 3.0, n)
+        F = nl.make_functional("quadratic_form", matrix=A, node_measure=m)
+        f = rng.standard_normal(n)
+        for sigma in (1e-3, 1.0, 1e3):
+            sol = nl.prox(F, f, sigma)
+            exact = np.linalg.solve(np.diag(m) + sigma * A, m * f)
+            assert sol.iterations == 0 and sol.converged
+            assert np.linalg.norm(sol.u - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+class TestLbfgsRoute:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_clamped_nodes_stay_zero(self, p):
+        F = pdirichlet_grid(p, "dirichlet", width=8)
+        f = nl.core.clamp_boundary(F, np.random.default_rng(5).standard_normal(F.dim))
+        u, its, gap, ok = prox_module._prox_dirichlet_smooth(F, f, 0.5, 1e-12, 50000)
+        assert ok and its > 0
+        # the gap subtracts h*: without it the gap of the optimum is -(p-1)*sigma*J
+        pval = 0.5 * nl.norm(u - f, F.measure) ** 2 + 0.5 * nl.evaluate(F, u)
+        assert abs(gap) <= 1e-12 * (1.0 + pval)
+        assert np.all(u[~F.graph.interior_mask] == 0.0)
+        assert np.any(u[F.graph.interior_mask] != 0.0)

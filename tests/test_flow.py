@@ -246,3 +246,30 @@ class TestBandEigenScores:
                 brute = max(brute, float(np.max(np.abs(vals))))
         ortho = nl.band_eigen_scores(tr, F, samples=1)["orthogonality_residual"]
         assert ortho == pytest.approx(brute, rel=1e-12)
+
+
+class TestProfileConvergence:
+    def test_eigenvector_profile_constant(self):
+        F = two_node_tv()
+        f = np.array([1.0, -1.0])
+        tr = nl.run_flow(F, f, tau=0.1, prox_tol=1e-13, store_iterates=True)
+        pc = nl.profile_convergence(tr)
+        w_expected = f / nl.norm(f, F.measure)
+        assert np.allclose(pc["w_last"], w_expected, atol=1e-9)
+        res = pc["profile_residual_history"]
+        assert np.nanmax(res[1:]) <= 1e-9
+
+    def test_p2_profile_matches_ground_eigenvector(self):
+        g = path_graph(6)
+        L = nl.laplacian_matrix(g)
+        F = nl.make_functional("quadratic_form", matrix=L)
+        spec = nl.dense_symmetric_eigs(L)
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal(6)
+        assert abs(f @ spec.eigenvectors[:, 1]) > 1e-3
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=2000, time_horizon=40.0,
+                         store_iterates=True)
+        pc = nl.profile_convergence(tr)
+        v1 = spec.eigenvectors[:, 1]
+        cos = abs(pc["w_last"] @ v1) / np.linalg.norm(v1)
+        assert cos >= 0.999

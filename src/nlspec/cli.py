@@ -45,12 +45,6 @@ class Required:
     spec: object
 
 
-def _bool(value):
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _int(value):
     """A whole number: a bool or a fraction is an error, not 0/1 or truncated."""
     if isinstance(value, bool) or (isinstance(value, float)
@@ -71,7 +65,7 @@ def _floats(value):
 
 
 _FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
-                 "extinction_tol": float, "prox_tol": float, "store_iterates": _bool}
+                 "extinction_tol": float, "prox_tol": float}
 # per command: the keyword arguments of its library call
 OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
            "power": {"restarts": _int, "c": float, "rule": str, "tol": float,
@@ -210,16 +204,18 @@ def build_input(cfg, F, seed, manifest):
 # artifact writers
 
 
+# the per-step FlowTrace columns of trace.csv, after the step index k
+TRACE_COLUMNS = ("t", "tau", "J", "dist", "Lambda", "zeta_norm",
+                 "profile_residual")
+
+
 def write_trace_csv(path, trace):
+    cols = [getattr(trace, name) for name in TRACE_COLUMNS]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["k", "t", "tau", "J", "dist", "Lambda",
-                     "zeta_norm", "profile_residual"])
+        wr.writerow(("k",) + TRACE_COLUMNS)
         for k in range(len(trace.t)):
-            wr.writerow([k, _fmt(trace.t[k]), _fmt(trace.tau[k]),
-                         _fmt(trace.J[k]), _fmt(trace.dist[k]),
-                         _fmt(trace.Lambda[k]), _fmt(trace.zeta_norm[k]),
-                         _fmt(trace.profile_residual[k])])
+            wr.writerow([k] + [_fmt(col[k]) for col in cols])
 
 
 def write_signal(dirpath, name, values, grid_spec, manifest):

@@ -33,19 +33,19 @@ def edge_div(phi: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray,
 
 
 def grad_div_opnorm(i_idx: np.ndarray, j_idx: np.ndarray, measure: np.ndarray,
-                    interior: np.ndarray, iters: int = 200,
-                    seed: int = 0) -> float:
+                    interior: np.ndarray) -> float:
     """Spectral norm of phi -> edge_diff(edge_div(phi)).
 
-    Estimated by power iteration on the (symmetric PSD) edge-space operator;
-    a 1% safety factor makes the returned value a usable Lipschitz bound.
+    Estimated by 200 power iterations from a seeded random flow on the
+    (symmetric PSD) edge-space operator; a 1% safety factor makes the
+    returned value a usable Lipschitz bound.
     """
     n_edges = len(i_idx)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     phi = rng.standard_normal(n_edges)
     phi /= np.linalg.norm(phi) + 1e-300
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         q = edge_diff(edge_div(phi, i_idx, j_idx, measure, interior),
                       i_idx, j_idx)
         lam = float(np.linalg.norm(q))

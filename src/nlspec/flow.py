@@ -2,15 +2,17 @@
 
 The flow iterates u_{k+1} = prox_{tau_k J}(u_k) from u_0 = f and converges to
 u_inf = P_N f, which is computed up front (mass conservation makes the two
-agree).  The trace records scalars per step plus the subgradients zeta_k,
-which are exactly (u_{k-1} - u_k)/tau_k, so the spectral decomposition
-f = P_N f + sum_k tau_k zeta_k + remainder telescopes to machine precision.
+agree).  The trace records scalars per step plus the iterates u_k; the
+subgradients zeta_k = (u_{k-1} - u_k)/tau_k are derived from them, so the
+spectral decomposition f = P_N f + sum_k tau_k zeta_k + remainder telescopes
+to machine precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,7 +34,7 @@ from .prox import prox, prox_nonvanishing_bound
 
 @dataclass
 class FlowTrace:
-    f: np.ndarray
+    us: list               # iterates u_0 = f, u_1, ..., u_K
     u_infinity: np.ndarray
     degree: float
     t: np.ndarray          # accumulated time, t[0] = 0
@@ -42,16 +44,29 @@ class FlowTrace:
     Lambda: np.ndarray     # p*J_k / dist_k^p, NaN below the distance floor
     zeta_norm: np.ndarray
     profile_residual: np.ndarray  # ||zeta_k/dist_k^{p-1} - Lambda_k w_k||, NaN at k=0
-    zetas: list            # zetas[k] for k >= 1; zetas[0] is a zero signal
-    u_last: np.ndarray
     extinction_index: Optional[int] = None
     prox_gap_total: float = 0.0
     warnings: list = field(default_factory=list)
-    us: Optional[list] = None  # full iterates, only with store_iterates=True
 
     @property
     def n_steps(self) -> int:
         return len(self.t) - 1
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.us[0]
+
+    @property
+    def u_last(self) -> np.ndarray:
+        return self.us[-1]
+
+    @cached_property
+    def zetas(self) -> list:
+        """zetas[k] = (u_{k-1} - u_k)/tau_k for k >= 1, bit for bit the
+        subgradient the prox of step k returned; zetas[0] is a zero signal."""
+        us = self.us
+        return [np.zeros_like(us[0])] + [
+            (a - b) / s for a, b, s in zip(us, us[1:], self.tau[1:])]
 
 
 def default_step_size(F: FunctionalHandle, f) -> float:
@@ -65,18 +80,18 @@ def default_step_size(F: FunctionalHandle, f) -> float:
 
 def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
              time_horizon: float = None, extinction_tol: float = 1e-8,
-             prox_tol: float = 1e-11, store_iterates: bool = False) -> FlowTrace:
+             prox_tol: float = 1e-11) -> FlowTrace:
+    if tau is not None and not tau > 0:
+        raise BadStep("step size must be positive")
     f = clamp_boundary(F, as_signal(f, F.dim))
     m = F.measure
     u_inf = project_nullspace(F, f)
-    u = f.copy()
     dist0 = norm(f - u_inf, m)
     floor = max(extinction_tol * dist0, 1e-300)
 
     ts, taus, Js, dists, lams, znorms, prof = [0.0], [0.0], [evaluate(F, f)], \
         [dist0], [], [0.0], [float("nan")]
-    zetas = [np.zeros(F.dim)]
-    us = [u.copy()] if store_iterates else None
+    us = [f.copy()]
     warnings = []
     gap_total = 0.0
     extinction_index = None
@@ -93,8 +108,6 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
     else:
         if tau is None:
             tau = default_step_size(F, f)
-        if not tau > 0:
-            raise BadStep("step size must be positive")
         t_acc = 0.0
         for k in range(1, max_steps + 1):
             # up to four attempts, halving the step before each retry; the
@@ -103,7 +116,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
             for attempt in range(4):
                 if attempt:
                     tau_k *= 0.5
-                sol = prox(F, u, tau_k, tol=prox_tol)
+                sol = prox(F, us[-1], tau_k, tol=prox_tol)
                 if sol.converged:
                     break
                 warnings.append(f"step {k}: prox not converged at tau={tau_k}")
@@ -125,10 +138,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
             else:
                 res = float("nan")
             prof.append(res)
-            zetas.append(zeta)
-            if store_iterates:
-                us.append(u_next.copy())
-            u = u_next
+            us.append(u_next)
             if dv <= floor:
                 extinction_index = k
                 break
@@ -136,12 +146,11 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
                 break
 
     return FlowTrace(
-        f=f, u_infinity=u_inf, degree=F.degree,
+        us=us, u_infinity=u_inf, degree=F.degree,
         t=np.array(ts), tau=np.array(taus), J=np.array(Js),
         dist=np.array(dists), Lambda=np.array(lams), zeta_norm=np.array(znorms),
-        profile_residual=np.array(prof),
-        zetas=zetas, u_last=u, extinction_index=extinction_index,
-        prox_gap_total=gap_total, warnings=warnings, us=us)
+        profile_residual=np.array(prof), extinction_index=extinction_index,
+        prox_gap_total=gap_total, warnings=warnings)
 
 
 def decompose(trace: FlowTrace):
@@ -160,8 +169,7 @@ def decompose(trace: FlowTrace):
 
 
 def extinction_report(trace: FlowTrace, F: FunctionalHandle,
-                      lambda1_estimate: float = None, n_random: int = 32,
-                      seed: int = 0):
+                      lambda1_estimate: float = None):
     """Measured extinction time plus the theoretical upper/lower bounds."""
     p = trace.degree
     m = F.measure
@@ -177,8 +185,8 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
         candidates = [g]
         eye = np.eye(F.dim)
         candidates.extend(eye[i] for i in range(min(F.dim, 64)))
-        rng = np.random.default_rng(seed)
-        for _ in range(n_random):
+        rng = np.random.default_rng(0)
+        for _ in range(32):
             candidates.append(rng.standard_normal(F.dim))
         for v in candidates:
             jv = evaluate(F, v)
@@ -264,20 +272,11 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle, samples: int = 32,
 def profile_convergence(trace: FlowTrace):
     """Last normalized profile, its Rayleigh value, and the residual history
     driven to zero (along a subsequence) as the flow approaches extinction."""
-    idx = None
-    for k in range(len(trace.t) - 1, -1, -1):
-        if trace.dist[k] > 1e-13 * (trace.dist[0] + 1.0) and not math.isnan(trace.Lambda[k]):
-            idx = k
-            break
-    if idx is None:
-        idx = 0
-    if trace.us is not None:
-        u_k = trace.us[idx]
-    else:
-        # reconstruct u_idx from the recorded bands
-        u_k = trace.u_last.copy()
-        for k in range(len(trace.zetas) - 1, idx, -1):
-            u_k = u_k + trace.tau[k] * trace.zetas[k]
+    floor = 1e-13 * (trace.dist[0] + 1.0)
+    # the last step above the distance floor with a Rayleigh value, else 0
+    idx = next((k for k in range(trace.n_steps, 0, -1) if trace.dist[k] > floor
+                and not math.isnan(trace.Lambda[k])), 0)
+    u_k = trace.us[idx]
     d = trace.dist[idx]
     w_last = (u_k - trace.u_infinity) / d if d > 0 else np.zeros_like(u_k)
     return {

@@ -24,21 +24,21 @@ class DenseSpectrum:
     node_measure: np.ndarray = None
 
 
-def _jacobi(A: np.ndarray, tol_scale: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm is
-    below tol_scale * ||A||_F."""
+def _jacobi(A: np.ndarray):
+    """Cyclic Jacobi rotations, at most 100 sweeps, until the off-diagonal
+    Frobenius norm is below 1e-12 * ||A||_F."""
     n = A.shape[0]
     B = A.copy()
     V = np.eye(n)
     normA = np.linalg.norm(A) + 1e-300
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = np.linalg.norm(B - np.diag(np.diag(B)))
-        if off <= tol_scale * normA:
+        if off <= 1e-12 * normA:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = B[p, q]
-                if abs(apq) <= 1e-3 * tol_scale * normA / max(n, 1):
+                if abs(apq) <= 1e-3 * 1e-12 * normA / max(n, 1):
                     continue
                 theta = 0.5 * (B[q, q] - B[p, p]) / apq
                 t = math.copysign(1.0, theta) / (
@@ -59,7 +59,7 @@ def _jacobi(A: np.ndarray, tol_scale: float = 1e-12, max_sweeps: int = 100):
     return np.diag(B).copy(), V
 
 
-def dense_symmetric_eigs(A, node_measure=None, tol_scale: float = 1e-12) -> DenseSpectrum:
+def dense_symmetric_eigs(A, node_measure=None) -> DenseSpectrum:
     """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
 
     With node_measure, solves the generalized problem A v = lam * M v via the
@@ -82,11 +82,11 @@ def dense_symmetric_eigs(A, node_measure=None, tol_scale: float = 1e-12) -> Dens
         s = np.sqrt(m)
         B = A / np.outer(s, s)
         B = 0.5 * (B + B.T)
-        vals, vecs = _jacobi(B, tol_scale)
+        vals, vecs = _jacobi(B)
         vecs = vecs / s[:, None]
     else:
         m = None
-        vals, vecs = _jacobi(0.5 * (A + A.T), tol_scale)
+        vals, vecs = _jacobi(0.5 * (A + A.T))
     order = np.argsort(vals)
     return DenseSpectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order],
                          node_measure=m)

@@ -25,7 +25,7 @@ from .core import (
     norm,
     project_nullspace,
 )
-from .errors import BadParams, DegenerateEnergy, NullspaceStart
+from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
 
 
 @dataclass
@@ -147,7 +147,7 @@ def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,
         try:
             pair = power_method(F, start, c=c, rule=rule, tol=tol,
                                 max_iter=max_iter)
-        except Exception as exc:  # noqa: BLE001 - per-start failures are data
+        except NlspecError as exc:  # a failed start is data; a bug propagates
             failures.append((idx, exc))
         else:
             results.append((idx, pair))

@@ -173,11 +173,11 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     return u, its, gap, False
 
 
-def brute_force_prox(F: FunctionalHandle, f, sigma: float, radius: float = 2.0,
-                     levels: int = 6, points: int = 21) -> np.ndarray:
+def brute_force_prox(F: FunctionalHandle, f, sigma: float) -> np.ndarray:
     """Independent oracle: nested grid search around f over the nodes not
     clamped by a Dirichlet boundary (at most 4); clamped nodes stay 0.
 
+    The search spans +-2 around f with 21 points per axis over 6 levels.
     Each level refines by 5x, so its window spans two steps of the level
     before on either side.  A window of one step (10x) loses the minimizer
     in flat valleys of the objective: on 3-node paths it stopped up to 5e-2
@@ -190,12 +190,12 @@ def brute_force_prox(F: FunctionalHandle, f, sigma: float, radius: float = 2.0,
     if k > 4:
         raise DimensionTooLarge("brute-force prox supports at most 4 free nodes")
     m = F.measure
-    axes = np.linspace(-1.0, 1.0, points)
+    axes = np.linspace(-1.0, 1.0, 21)
     offsets = np.stack(np.meshgrid(*([axes] * k), indexing="ij"),
                        axis=-1).reshape(-1, k)
     best = f
-    r = float(radius)
-    for _ in range(levels):
+    r = 2.0
+    for _ in range(6):
         U = np.tile(best, (len(offsets), 1))
         U[:, free] += r * offsets
         obj = 0.5 * np.sum(m * (U - f) ** 2, axis=1) + sigma * evaluate_batch(F, U)

@@ -419,10 +419,7 @@ def check_flow_invariants():
         for k in range(len(tr.t)):
             if k > 0 and not tr.t[k] > tr.t[k - 1]:
                 fails.append(f"{F.kind} time not increasing")
-        # mass conservation (needs iterates; reconstruct from bands)
-        u = tr.f.copy()
-        for k in range(1, len(tr.zetas)):
-            u = u - tr.tau[k] * tr.zetas[k]
+        for u in tr.us[1:]:  # mass conservation
             dev = core.norm(core.project_nullspace(F, u) - pf, m)
             if dev > 1e-10:
                 fails.append(f"{F.kind} mass dev={dev:.2e}")
@@ -453,9 +450,7 @@ def check_flow_eigenvector_invariance():
         fails.append(f"certificate {cert.max_residual:.2e}")
     tr = flow.run_flow(F, f, tau=0.1, max_steps=50, prox_tol=1e-12)
     w0 = f / core.norm(f, F.measure)
-    u = tr.f.copy()
-    for k in range(1, len(tr.zetas)):
-        u = u - tr.tau[k] * tr.zetas[k]
+    for u in tr.us[1:]:
         d = core.norm(u - tr.u_infinity, F.measure)
         if d > 1e-8 * tr.dist[0]:
             dev = core.norm((u - tr.u_infinity) / d - w0, F.measure)

@@ -65,7 +65,7 @@ def test_criterion_2_implicit_euler_vs_heat_flow():
     lam_max = spec.eigenvalues[-1]
     f = np.random.default_rng(42).standard_normal(n)
     tr = nl.run_flow(F, f, tau=tau, max_steps=1000, time_horizon=1.0,
-                     store_iterates=True, prox_tol=1e-13)
+                     prox_tol=1e-13)
     worst = 0.0
     for k in range(len(tr.t)):
         exact = nl.linear_heat_solution(spec, f, tr.t[k])

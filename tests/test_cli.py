@@ -93,7 +93,7 @@ MALFORMED = {
               "input.generator.nodes"),  # IndexError on 6 nodes
     "env_seed": ({}, {"NLSPEC_SEED": "x"}, "NLSPEC_SEED"),  # ValueError
     "store_iterates": ({"options": {"store_iterates": "no"}}, {},
-                       "options.store_iterates"),  # read as true
+                       "'store_iterates'"),  # not an option
     "foreign_option": ({"command": "power", "options": {"tau": 0.1}}, {},
                        "'tau'"),  # ignored
     "no_functional": ({"functional": MISSING}, {}, "'functional'"),
@@ -154,6 +154,12 @@ class TestFrontDoor:
         rc, err = self._run(tmp_path, capsys, **overrides)
         assert rc == 1 and err.startswith("error:")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_store_iterates_is_not_an_option(self, tmp_path, capsys):
+        # the flow always keeps its iterates
+        rc, err = self._run(tmp_path, capsys, options={"store_iterates": True})
+        assert rc == 1 and err.startswith("config error:")
+        assert len(err.splitlines()) == 1 and "'store_iterates'" in err
 
     def test_scalar_node_measure_is_one_error_line(self, tmp_path, capsys):
         rc, err = self._run(tmp_path, capsys, domain=MISSING,

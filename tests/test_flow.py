@@ -34,8 +34,7 @@ class TestRunFlow:
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         F = nl.make_functional("quadratic_form", matrix=L)
         f = np.array([1.0, -1.0])
-        tr = nl.run_flow(F, f, tau=0.1, max_steps=30, prox_tol=1e-13,
-                         store_iterates=True)
+        tr = nl.run_flow(F, f, tau=0.1, max_steps=30, prox_tol=1e-13)
         for k, u in enumerate(tr.us):
             assert np.allclose(u, f / 1.2 ** k, atol=1e-10)
 
@@ -54,8 +53,7 @@ class TestRunFlow:
 
     def test_update_identity(self):
         F = two_node_tv()
-        tr = nl.run_flow(F, np.array([0.7, -0.3]), tau=0.05, prox_tol=1e-13,
-                         store_iterates=True)
+        tr = nl.run_flow(F, np.array([0.7, -0.3]), tau=0.05, prox_tol=1e-13)
         for k in range(1, len(tr.t)):
             lhs = tr.us[k]
             rhs = tr.us[k - 1] - tr.tau[k] * tr.zetas[k]
@@ -97,6 +95,45 @@ class TestRunFlow:
         assert tr.t[-1] == pytest.approx(3 * 0.00625)
         assert len(tr.warnings) == 12
         assert nl.decompose(tr)["reconstruction_residual"] <= 1e-14
+
+    @pytest.mark.parametrize("F", [
+        nl.make_functional("graph_tv", nl.build_grid_graph(
+            nl.GridSpec(width=4, height=3, boundary_mode="dirichlet"))),
+        nl.make_functional("dirichlet_p", path_graph(6), p=1.5),
+        nl.make_functional("quadratic_form",
+                           matrix=nl.laplacian_matrix(path_graph(6))),
+        nl.make_functional("l1", n=6),
+    ], ids=["tv_dirichlet", "dirichlet_p", "quadratic", "l1"])
+    def test_iterates_stored_and_zetas_are_the_prox_subgradients(
+            self, F, monkeypatch):
+        """The trace stores u_0 = f, u_1, ...; zetas[k] derived from them is
+        bit for bit the subgradient the prox of step k returned."""
+        returned = []
+        prox = flow_module.prox
+
+        def recording(*args, **kwargs):
+            sol = prox(*args, **kwargs)
+            returned.append(sol.zeta)
+            return sol
+
+        monkeypatch.setattr(flow_module, "prox", recording)
+        f = np.random.default_rng(6).standard_normal(F.dim)
+        tr = nl.run_flow(F, f, max_steps=20)
+        assert len(tr.us) == tr.n_steps + 1 == len(returned) + 1
+        assert np.array_equal(tr.f, nl.core.clamp_boundary(F, f))
+        assert tr.u_last is tr.us[-1]
+        assert "zetas" not in vars(tr)  # derived on first use only
+        assert not np.any(tr.zetas[0])
+        for k in range(1, len(tr.us)):
+            assert tr.zetas[k].tobytes() == returned[k - 1].tobytes()
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("f", [[2.0, 2.0, 2.0], [1.0, 0.0, -1.0]],
+                             ids=["nullspace", "generic"])
+    def test_nonpositive_tau_rejected(self, tau, f):
+        F = nl.make_functional("graph_tv", path_graph(3))
+        with pytest.raises(nl.errors.BadStep):
+            nl.run_flow(F, np.array(f), tau=tau)
 
     def test_horizon_stop(self):
         g = path_graph(4)
@@ -252,12 +289,24 @@ class TestProfileConvergence:
     def test_eigenvector_profile_constant(self):
         F = two_node_tv()
         f = np.array([1.0, -1.0])
-        tr = nl.run_flow(F, f, tau=0.1, prox_tol=1e-13, store_iterates=True)
+        tr = nl.run_flow(F, f, tau=0.1, prox_tol=1e-13)
         pc = nl.profile_convergence(tr)
         w_expected = f / nl.norm(f, F.measure)
         assert np.allclose(pc["w_last"], w_expected, atol=1e-9)
         res = pc["profile_residual_history"]
         assert np.nanmax(res[1:]) <= 1e-9
+
+    def test_w_last_is_the_stored_iterate(self):
+        # a TV flow to extinction: the profile is taken before the last step
+        F = nl.make_functional("graph_tv", path_graph(5))
+        tr = nl.run_flow(F, np.array([1.0, -0.5, 0.25, 0.7, -1.3]),
+                         prox_tol=1e-12)
+        assert tr.extinction_index == tr.n_steps
+        idx = int(np.flatnonzero(~np.isnan(tr.Lambda))[-1])
+        assert 0 < idx < tr.n_steps
+        pc = nl.profile_convergence(tr)
+        assert np.array_equal(pc["w_last"],
+                              (tr.us[idx] - tr.u_infinity) / tr.dist[idx])
 
     def test_p2_profile_matches_ground_eigenvector(self):
         g = path_graph(6)
@@ -267,8 +316,7 @@ class TestProfileConvergence:
         rng = np.random.default_rng(8)
         f = rng.standard_normal(6)
         assert abs(f @ spec.eigenvectors[:, 1]) > 1e-3
-        tr = nl.run_flow(F, f, tau=0.05, max_steps=2000, time_horizon=40.0,
-                         store_iterates=True)
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=2000, time_horizon=40.0)
         pc = nl.profile_convergence(tr)
         v1 = spec.eigenvectors[:, 1]
         cos = abs(pc["w_last"] @ v1) / np.linalg.norm(v1)

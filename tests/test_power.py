@@ -171,6 +171,29 @@ class TestGroundStateSearch:
         assert a["lambdas"] == b["lambdas"]
         assert np.array_equal(a["best"].w, b["best"].w)
 
+    def test_failed_start_is_recorded_and_a_bug_propagates(self, monkeypatch):
+        prox_module = importlib.import_module("nlspec.prox")
+        prox = prox_module.prox
+
+        def first_call_raises(exc):
+            pending = [exc]
+
+            def wrapped(*args, **kwargs):
+                if pending:
+                    raise pending.pop()
+                return prox(*args, **kwargs)
+
+            monkeypatch.setattr(prox_module, "prox", wrapped)
+
+        F = nl.make_functional("graph_tv", path_graph(5))
+        first_call_raises(errors.DegenerateEnergy("vanished"))
+        out = nl.ground_state_search(F, restarts=2, seed=3)
+        assert [idx for idx, _ in out["failures"]] == [0]
+        assert len(out["all"]) == 1
+        first_call_raises(TypeError("bug"))
+        with pytest.raises(TypeError, match="bug"):
+            nl.ground_state_search(F, restarts=2, seed=3)
+
     def test_restarts_validation(self):
         F = nl.make_functional("l1", n=2)
         with pytest.raises(errors.BadParams):

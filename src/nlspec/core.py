@@ -72,7 +72,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("n", "boundary", "node_measure", "_i", "_j", "_w", "_interior",
-                 "_opnorm")
+                 "_opnorm", "_div")
 
     def __init__(self, n: int, edges, boundary=frozenset(), node_measure=None):
         if n < 1:
@@ -113,6 +113,7 @@ class WeightedGraph:
         self._i, self._j, self._w = i, j, e[:, 2].copy()
         self._interior = interior
         self._opnorm = None
+        self._div = None
 
     @property
     def edges(self) -> tuple:
@@ -132,9 +133,16 @@ class WeightedGraph:
         """Step bound of the dual FISTA kernel, computed on first use by
         `edgecalc.grad_div_opnorm` and kept for the graph's lifetime."""
         if self._opnorm is None:
-            self._opnorm = edgecalc.grad_div_opnorm(
-                self._i, self._j, self.node_measure, self._interior)
+            self._opnorm = edgecalc.grad_div_opnorm(self)
         return self._opnorm
+
+    @property
+    def div(self):
+        """The divergence as an n x E sparse matrix, built on first use by
+        `edgecalc.div_matrix` and kept for the graph's lifetime."""
+        if self._div is None:
+            self._div = edgecalc.div_matrix(self)
+        return self._div
 
 
 def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
@@ -179,7 +187,7 @@ class FunctionalHandle:
 
 
 def inner(u: np.ndarray, v: np.ndarray, measure: np.ndarray) -> float:
-    return float(np.sum(measure * u * v))
+    return float((measure * u * v).sum())
 
 
 def norm(u: np.ndarray, measure: np.ndarray) -> float:
@@ -248,8 +256,9 @@ def project_nullspace(F: FunctionalHandle, u) -> np.ndarray:
     B = nullspace_basis(F)
     if B.shape[1] == 0:
         return np.zeros_like(u)
-    coeff = B.T @ (F.measure * u)
-    return B @ coeff
+    # einsum, not BLAS: see the edgecalc module docstring
+    coeff = np.einsum("ik,i->k", B, F.measure * u)
+    return np.einsum("ik,k->i", B, coeff)
 
 
 def rayleigh(F: FunctionalHandle, u) -> float:
@@ -296,7 +305,8 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
         return (lambda psi: edgecalc.prox_power_conjugate(
                     psi, a, graph.grad_div_opnorm, q),
                 lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q)
-    return lambda psi: edgecalc.project_box(psi, a), _zero_conjugate
+    lower = -a
+    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate
 
 
 def _zero_conjugate(psi):
@@ -322,7 +332,6 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     # of an admissible edge flow; Dirichlet nodes carry no constraint.
     zeta = clamp_boundary(F, zeta)
     graph = F.graph
-    i_idx, j_idx, _ = graph.edge_arrays
     scale = norm(zeta, m)
     if scale == 0.0:
         return True
@@ -330,7 +339,7 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     # steps; L is the bound the kernel takes its 1/L steps with
     L = graph.grad_div_opnorm
     fit_tol = tol * scale
-    psi = np.zeros(len(i_idx))
+    psi = np.zeros(len(graph.edge_arrays[0]))
     project, _ = dual_flow_prox(F, 1.0)
     iterates = edgecalc.dual_fista(zeta, graph, project)
     for it, psi_new in enumerate(islice(iterates, 20000)):
@@ -338,7 +347,7 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
         psi = psi_new
         if it > 10 and step * L < 0.01 * fit_tol:
             break
-    r = edgecalc.edge_div(psi, i_idx, j_idx, m, graph.interior_mask) - zeta
+    r = edgecalc.edge_div(psi, graph) - zeta
     return norm(r, m) <= tol * (1.0 + scale)
 
 

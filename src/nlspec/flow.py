@@ -183,8 +183,10 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
     if p == 1:
         g = trace.f - trace.u_infinity
         candidates = [g]
-        eye = np.eye(F.dim)
-        candidates.extend(eye[i] for i in range(min(F.dim, 64)))
+        for i in range(min(F.dim, 64)):
+            e = np.zeros(F.dim)
+            e[i] = 1.0
+            candidates.append(e)
         rng = np.random.default_rng(0)
         for _ in range(32):
             candidates.append(rng.standard_normal(F.dim))

@@ -111,16 +111,14 @@ def _fenchel_gap(F, f, sigma, u, d, hstar):
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
     graph = F.graph
-    i_idx, j_idx, _ = graph.edge_arrays
     project, conjugate = dual_flow_prox(F, sigma)
 
     def primal_gap(psi):
-        d = edgecalc.edge_div(psi, i_idx, j_idx, graph.node_measure,
-                              graph.interior_mask)
+        d = edgecalc.edge_div(psi, graph)
         u = f - d
         return (u, *_fenchel_gap(F, f, sigma, u, d, conjugate(psi)))
 
-    best = primal_gap(np.zeros(len(i_idx)))
+    best = primal_gap(np.zeros(len(graph.edge_arrays[0])))
     its = 0
     iterates = edgecalc.dual_fista(f, graph, project)
     for its, psi in enumerate(islice(iterates, max_iter), start=1):
@@ -139,7 +137,7 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     0 with zero gradient, so it stays there."""
     graph = F.graph
     i_idx, j_idx, w = graph.edge_arrays
-    m, interior = graph.node_measure, graph.interior_mask
+    m = graph.node_measure
     p = F.p
     _, conjugate = dual_flow_prox(F, sigma)
 
@@ -148,7 +146,7 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
         # sigma*J at u, and its divergence
         du = edgecalc.edge_diff(u, i_idx, j_idx)
         phi = sigma * w * np.abs(du) ** (p - 1.0) * np.sign(du)
-        return du, phi, edgecalc.edge_div(phi, i_idx, j_idx, m, interior)
+        return du, phi, edgecalc.edge_div(phi, graph)
 
     def objective(u):
         du, _, d = div_flow(u)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlspec as nl
 from nlspec import edgecalc
 
 
@@ -155,7 +156,56 @@ def random_dirichlet_graph(rng, n):
     return edges, boundary, measure
 
 
+def edge_div_scatter(phi, graph):
+    """The divergence as a scatter of each edge's flow onto its two nodes:
+    the reference for the matrix that `edgecalc.div_matrix` builds."""
+    i_idx, j_idx, _ = graph.edge_arrays
+    out = np.zeros(graph.n)
+    np.add.at(out, j_idx, phi)
+    np.subtract.at(out, i_idx, phi)
+    out /= graph.node_measure
+    out[~graph.interior_mask] = 0.0
+    return out
+
+
+def shuffled_edges(g, rng):
+    """`g` with its edges in random order: each node's incoming and outgoing
+    edges interleave in edge order."""
+    i_idx, j_idx, w = g.edge_arrays
+    edges = np.column_stack((i_idx, j_idx, w))[rng.permutation(len(w))]
+    return nl.WeightedGraph(g.n, edges, boundary=g.boundary,
+                            node_measure=g.node_measure)
+
+
 class TestEdgeDiv:
+    @pytest.mark.parametrize("spec", [
+        nl.GridSpec(width=32, height=32, spacing=1 / 32),
+        nl.GridSpec(width=31, boundary_mode="dirichlet")],
+        ids=["neumann_32x32", "dirichlet_path_33"])
+    @pytest.mark.parametrize("shuffle", [False, True],
+                             ids=["grid_order", "shuffled"])
+    def test_matches_scatter_bit_for_bit_on_dyadic_grids(self, spec, shuffle):
+        g = nl.build_grid_graph(spec)
+        rng = np.random.default_rng(4)
+        if shuffle:
+            g = shuffled_edges(g, rng)
+        for _ in range(5):
+            phi = rng.standard_normal(len(g.edge_arrays[0]))
+            assert np.array_equal(edgecalc.edge_div(phi, g),
+                                  edge_div_scatter(phi, g))
+
+    def test_matches_scatter_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(3, 30))
+            edges, boundary, measure = random_dirichlet_graph(rng, n)
+            g = nl.WeightedGraph(n, edges, boundary=boundary,
+                                 node_measure=measure)
+            phi = rng.standard_normal(len(edges))
+            d, want = edgecalc.edge_div(phi, g), edge_div_scatter(phi, g)
+            scale = np.abs(phi).max() / measure.min()
+            assert np.max(np.abs(d - want)) <= 1e-14 * scale
+
     def test_adjoint_on_boundary_zero_signals(self):
         from nlspec import WeightedGraph
         rng = np.random.default_rng(11)
@@ -167,7 +217,7 @@ class TestEdgeDiv:
             interior = g.interior_mask
             phi = rng.standard_normal(len(i_idx))
             u = np.where(interior, rng.standard_normal(n), 0.0)
-            d = edgecalc.edge_div(phi, i_idx, j_idx, measure, interior)
+            d = edgecalc.edge_div(phi, g)
             assert np.all(d[~interior] == 0.0)
             lhs = float(np.sum(measure * d * u))
             rhs = float(phi @ edgecalc.edge_diff(u, i_idx, j_idx))

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,24 @@ class TestExtinctionReport:
         assert rep["measured"] is None
         assert rep["upper"] is None
         assert rep["lower"] == 0.0
+
+    def test_memory_linear_in_the_nodes(self):
+        """The 64 unit directions of the p = 1 lower bound are built one at
+        a time: the identity matrix of this 2,048-node grid alone would take
+        33.6 MB."""
+        g = nl.build_grid_graph(nl.GridSpec(width=64, height=32,
+                                            spacing=1 / 32))
+        F = nl.make_functional("graph_tv", g)
+        f = np.random.default_rng(5).standard_normal(g.n)
+        tr = nl.run_flow(F, f, max_steps=2)
+        tracemalloc.start()
+        try:
+            rep = nl.extinction_report(tr, F, lambda1_estimate=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["lower"] > 0.0
+        assert peak < 4e6
 
 
 class TestDecayEnvelopes:

@@ -226,9 +226,54 @@ class TestRestartedDualFista:
                     sol = nl.prox(F, rng.standard_normal(g.n), sigma, tol=1e-12)
                     nl.dual_ball_membership(F, sol.zeta)
             assert len(calls) == count
-            i_idx, j_idx, _ = g.edge_arrays
-            assert g.grad_div_opnorm == compute(i_idx, j_idx, g.node_measure,
-                                                g.interior_mask)
+            assert g.grad_div_opnorm == compute(g)
+
+    def test_divergence_built_lazily_once_per_graph(self, monkeypatch):
+        calls = []
+        build = edgecalc.div_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(edgecalc, "div_matrix", counted)
+        rng = np.random.default_rng(7)
+        graphs = [nl.build_grid_graph(nl.GridSpec(width=5, height=4,
+                                                  boundary_mode="dirichlet")),
+                  path_graph(6)]
+        for count, g in enumerate(graphs, start=1):
+            Fs = [nl.make_functional("graph_tv", g),
+                  nl.make_functional("lipschitz_sup", g),
+                  nl.make_functional("dirichlet_p", g, p=1.5),
+                  nl.make_functional("dirichlet_p", g, p=3.0)]
+            assert len(calls) == count - 1 and g._div is None
+            for F in Fs:
+                for sigma in (0.1, 0.5):
+                    sol = nl.prox(F, rng.standard_normal(g.n), sigma, tol=1e-12)
+                    if F.degree == 1:
+                        nl.dual_ball_membership(F, sol.zeta)
+            assert len(calls) == count
+
+    def test_graph_solves_call_no_blas(self, monkeypatch):
+        """The threaded BLAS of np.dot and np.linalg.norm keeps a worker
+        thread spinning between the short calls of a FISTA iteration."""
+        g = nl.build_grid_graph(nl.GridSpec(width=6, height=5, spacing=0.5))
+        Fs = [nl.make_functional("graph_tv", g),
+              nl.make_functional("lipschitz_sup", g),
+              nl.make_functional("dirichlet_p", g, p=1.5)]
+        fresh = nl.build_grid_graph(nl.GridSpec(width=7, height=3))
+        f = np.random.default_rng(8).standard_normal(g.n)
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS call in a graph solve")
+
+        monkeypatch.setattr(np, "dot", blas)
+        monkeypatch.setattr(np.linalg, "norm", blas)
+        for F in Fs:
+            assert nl.prox(F, f, 0.1).converged
+        assert fresh.grad_div_opnorm > 0.0
+        trace = nl.run_flow(Fs[0], f, max_steps=2)
+        assert trace.n_steps == 2
 
     @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup", "dirichlet_p"])
     def test_matches_brute_force(self, kind):

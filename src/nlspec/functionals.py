@@ -50,7 +50,7 @@ def build_grid_graph(spec: GridSpec) -> WeightedGraph:
     node = np.arange(rows * cols)
     r, c = np.divmod(node, cols)
     # row-major over nodes, each node's right then lower neighbor: the FISTA
-    # iterates depend on this order through edge_div and grad_div_opnorm
+    # iterates depend on this order through edge_div
     i, down = np.nonzero(np.column_stack((c + 1 < cols, r + 1 < rows)))
     j = i + np.where(down, cols, 1)
     edges = np.column_stack((i, j, np.full(len(i), 1.0 / h)))
@@ -76,8 +76,8 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         if graph is None:
             raise BadParams(f"{kind} requires a graph")
         if kind == "dirichlet_p":
-            if p is None or p < 1:
-                raise BadParams("dirichlet_p requires p >= 1")
+            if p is None or not 1 <= p < np.inf:
+                raise BadParams(f"dirichlet_p requires finite p >= 1, got {p}")
             degree = float(p)
         else:
             p = None

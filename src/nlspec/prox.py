@@ -37,7 +37,8 @@ from .core import (
     project_nullspace,
     as_signal,
 )
-from .errors import BadStep, DimensionTooLarge, NullspaceElement, UnsupportedFunctional
+from .errors import (BadParams, BadStep, DimensionTooLarge, NullspaceElement,
+                     UnsupportedFunctional)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
         raise BadStep(f"prox step must be positive, got {sigma}")
     if not tol > 0:
         raise BadStep("tolerance must be positive")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise BadParams(f"max_iter must be an integer >= 1, got {max_iter}")
     # Dirichlet nodes are clamped throughout: the minimization runs over
     # boundary-zero signals, so zeta = (f - u)/sigma vanishes on the boundary
     f = clamp_boundary(F, as_signal(f, F.dim))

@@ -147,7 +147,8 @@ class TestFrontDoor:
     @pytest.mark.parametrize("overrides", [
         {"domain": MISSING, "functional": {"kind": "l1", "n": -1}},
         {"command": "power", "options": {"max_iter": 0, "restarts": 1}},
-    ], ids=["negative_n", "power_max_iter_0"])
+        {"functional": {"kind": "dirichlet_p", "p": float("nan")}},
+    ], ids=["negative_n", "power_max_iter_0", "dirichlet_p_nan"])
     def test_library_rejection_is_one_error_line(self, overrides, tmp_path,
                                                  capsys):
         # a ValueError and a TypeError traceback before the library checked

@@ -222,3 +222,59 @@ class TestEdgeDiv:
             lhs = float(np.sum(measure * d * u))
             rhs = float(phi @ edgecalc.edge_diff(u, i_idx, j_idx))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def grad_div_matrix(g):
+    """phi -> edge_diff(edge_div(phi)) as an explicit E x E matrix, built
+    from the incidence matrix and not from `div_matrix`."""
+    i_idx, j_idx, _ = g.edge_arrays
+    D = np.zeros((len(i_idx), g.n))
+    D[np.arange(len(i_idx)), j_idx] += 1.0
+    D[np.arange(len(i_idx)), i_idx] -= 1.0
+    return D @ (np.where(g.interior_mask, 1.0 / g.node_measure, 0.0)[:, None] * D.T)
+
+
+class TestGradDivOpnorm:
+    def test_bounds_the_norm_on_a_long_path_with_one_light_node(self):
+        # a seeded power estimate times 1.01 falls below the norm here:
+        # 4.0356 against 4.0404
+        from scipy.linalg import eigvalsh_tridiagonal
+        n = 20000
+        m = np.ones(n)
+        m[n // 2] = 0.9
+        g = nl.WeightedGraph(n, [(k, k + 1, 1.0) for k in range(n - 1)],
+                             node_measure=m)
+        # the node-side operator M^(-1/2) L M^(-1/2) shares the edge-side norm
+        deg = np.full(n, 2.0)
+        deg[[0, -1]] = 1.0
+        s = 1.0 / np.sqrt(m)
+        lam = eigvalsh_tridiagonal(deg * s * s, -s[:-1] * s[1:], select="i",
+                                   select_range=(n - 1, n - 1))[0]
+        assert edgecalc.grad_div_opnorm(g) >= lam
+
+    def test_within_2x_of_the_norm_on_random_graphs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            # at most 3 Dirichlet nodes, so some interior node has an edge
+            n = int(rng.integers(4, 30))
+            edges, boundary, measure = random_dirichlet_graph(rng, n)
+            g = nl.WeightedGraph(n, edges, boundary=boundary,
+                                 node_measure=measure)
+            lam = np.linalg.eigvalsh(grad_div_matrix(g))[-1]
+            assert 1.0 - 1e-12 <= edgecalc.grad_div_opnorm(g) / lam <= 2.0
+
+    def test_zero_operator_gives_one(self):
+        no_edges = nl.WeightedGraph(1, [])
+        all_clamped = nl.WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)],
+                                       boundary=[0, 1, 2])
+        for g in (no_edges, all_clamped):
+            assert not np.any(grad_div_matrix(g))
+            assert edgecalc.grad_div_opnorm(g) == 1.0
+
+    @pytest.mark.parametrize("spec, value", [
+        (nl.GridSpec(width=128, height=128, spacing=1 / 128), 131072.0),
+        (nl.GridSpec(width=32, height=32, spacing=1 / 32), 8192.0),
+        (nl.GridSpec(width=31, boundary_mode="dirichlet"), 4.0)],
+        ids=["grid_128", "grid_32", "dirichlet_path_33"])
+    def test_exact_on_grids(self, spec, value):
+        assert edgecalc.grad_div_opnorm(nl.build_grid_graph(spec)) == value

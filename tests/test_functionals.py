@@ -120,8 +120,10 @@ class TestMakeFunctional:
         g = nl.build_grid_graph(nl.GridSpec(width=3))
         with pytest.raises(errors.BadParams):
             nl.make_functional("dirichlet_p", g)
-        with pytest.raises(errors.BadParams):
-            nl.make_functional("dirichlet_p", g, p=0.5)
+        # J is NaN at p = NaN and 0 at p = inf
+        for p in (0.5, float("nan"), float("inf")):
+            with pytest.raises(errors.BadParams):
+                nl.make_functional("dirichlet_p", g, p=p)
 
     def test_graph_kinds_require_graph(self):
         with pytest.raises(errors.BadParams):

@@ -187,6 +187,23 @@ def test_l1_prox_closed_form_property(vals, sigma):
     assert np.allclose(u, expected)
 
 
+class TestMaxIter:
+    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5])
+    @pytest.mark.parametrize("kind, p", [("graph_tv", None),
+                                         ("dirichlet_p", 3.0)],
+                             ids=["dual", "lbfgs"])
+    def test_rejects_non_positive_or_fractional(self, kind, p, max_iter):
+        # islice raises a bare ValueError on the dual route, and L-BFGS
+        # ignores max_iter <= 0
+        F = nl.make_functional(kind, path_graph(4), p=p)
+        with pytest.raises(errors.BadParams):
+            nl.prox(F, np.arange(4.0), 0.1, max_iter=max_iter)
+
+    def test_accepts_numpy_integers(self):
+        F = nl.make_functional("graph_tv", path_graph(4))
+        assert nl.prox(F, np.arange(4.0), 0.1, max_iter=np.int64(500)).converged
+
+
 class TestDirichletBoundaryClamping:
     def test_boundary_zeroed(self):
         g = nl.build_grid_graph(nl.GridSpec(width=3, boundary_mode="dirichlet"))

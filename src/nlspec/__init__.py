@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .core import (
     WeightedGraph,
     FunctionalHandle,
-    EigenCertificate,
     inner,
     norm,
     evaluate,
@@ -18,12 +17,11 @@ from .core import (
     project_nullspace,
     rayleigh,
     euler_residual,
-    dual_ball_membership,
     min_norm_subgradient,
-    eigen_certificate,
 )
 from .functionals import GridSpec, build_grid_graph, make_functional, laplacian_matrix
-from .prox import ProxSolution, prox, brute_force_prox, prox_nonvanishing_bound
+from .prox import (ProxSolution, prox, brute_force_prox, prox_nonvanishing_bound,
+                   dual_ball_membership, EigenCertificate, eigen_certificate)
 from .flow import (
     FlowTrace,
     run_flow,

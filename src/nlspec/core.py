@@ -7,15 +7,15 @@ carry the per-node measure m_i (default 1), i.e.
 
 The functional catalog is p-homogeneous and convex; `evaluate_batch`
 dispatches on the handle kind and `evaluate` is its single-signal form.
-Diagnostics (Rayleigh quotient, Euler identity residual, dual-ball membership,
-eigen certificates) are pure functions of their inputs.
+Diagnostics (Rayleigh quotient, Euler identity residual, minimal-norm
+subgradients) are pure functions of their inputs; the certificates that need
+a prox solve live in `prox`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,14 @@ def as_signal(values, n: Optional[int] = None) -> np.ndarray:
     if n is not None and u.size != n:
         raise DimensionMismatch(f"signal has length {u.size}, expected {n}")
     return u
+
+
+def check_count(name: str, value) -> int:
+    """`value`, checked to be an int or numpy integer >= 1 (an iteration,
+    step or restart count)."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def node_measure_array(node_measure, n: int) -> np.ndarray:
@@ -283,7 +291,7 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
     min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a pair:
 
     - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
-      `edgecalc.dual_fista` applies after each gradient step: the projection
+      `prox._prox_dual_fista` applies after each gradient step: the projection
       onto the box |psi_e| <= sigma*w_e (graph_tv, dirichlet_p with p = 1),
       onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), or for dirichlet_p
       with 1 < p < 2 `edgecalc.prox_power_conjugate` with
@@ -313,44 +321,6 @@ def _zero_conjugate(psi):
     return 0.0
 
 
-def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
-    """Is zeta in K_J = dJ(0) = {z : <z,u> <= J(u) for all u}?
-
-    Only defined for one-homogeneous functionals.  For graph functionals the
-    question is a dual flow-feasibility problem, decided by a projected
-    least-squares fit of edge flows (`edgecalc.dual_fista`).
-    """
-    if F.degree != 1:
-        raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
-    zeta = _check(F, zeta)
-    m = F.measure
-    if F.kind == "l1":
-        return float(np.max(np.abs(zeta))) <= 1.0 + tol
-    if F.kind == "linf":
-        return float(np.sum(m * np.abs(zeta))) <= 1.0 + tol
-    # graph_tv / lipschitz_sup / dirichlet_p(p=1): zeta must be a divergence
-    # of an admissible edge flow; Dirichlet nodes carry no constraint.
-    zeta = clamp_boundary(F, zeta)
-    graph = F.graph
-    scale = norm(zeta, m)
-    if scale == 0.0:
-        return True
-    # stop once a step of the fit no longer moves the flow, or after 20,000
-    # steps; L is the bound the kernel takes its 1/L steps with
-    L = graph.grad_div_opnorm
-    fit_tol = tol * scale
-    psi = np.zeros(len(graph.edge_arrays[0]))
-    project, _ = dual_flow_prox(F, 1.0)
-    iterates = edgecalc.dual_fista(zeta, graph, project)
-    for it, psi_new in enumerate(islice(iterates, 20000)):
-        step = float(np.max(np.abs(psi_new - psi))) if len(psi) else 0.0
-        psi = psi_new
-        if it > 10 and step * L < 0.01 * fit_tol:
-            break
-    r = edgecalc.edge_div(psi, graph) - zeta
-    return norm(r, m) <= tol * (1.0 + scale)
-
-
 def min_norm_subgradient(F: FunctionalHandle, u) -> np.ndarray:
     """Closed-form minimal-norm subgradient for l1 / linf."""
     u = _check(F, u)
@@ -369,48 +339,3 @@ def min_norm_subgradient(F: FunctionalHandle, u) -> np.ndarray:
         return zeta
     raise UnsupportedFunctional(
         "min-norm subgradients in closed form exist only for l1/linf")
-
-
-@dataclass(frozen=True)
-class EigenCertificate:
-    """Residuals that vanish exactly for a true eigenpair.
-
-    subgradient_gap > 0 certifies NOT an eigenpair (one-sided sampled test);
-    gap == 0 is necessary but not sufficient.
-    """
-
-    euler_residual: float
-    subgradient_gap: float
-    collinearity: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.euler_residual, self.subgradient_gap, self.collinearity)
-
-
-def eigen_certificate(F: FunctionalHandle, w, lam: float, samples: int = 32,
-                      seed: int = 0) -> EigenCertificate:
-    w = _check(F, w)
-    m = F.measure
-    nw = norm(w, m)
-    if nw == 0.0:
-        raise ZeroSignal("cannot certify the zero signal")
-    zeta = lam * nw ** (F.degree - 2.0) * w
-    e_res = euler_residual(F, w, zeta)
-    jw = evaluate(F, w)
-    rng = np.random.default_rng(seed)
-    gap = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(F.dim)
-        nv = norm(v, m)
-        if nv > 0:
-            v = v / nv
-        g = jw + inner(zeta, v - w, m) - evaluate(F, v)
-        gap = max(gap, g)
-    gap = max(gap, 0.0)
-    nz = norm(zeta, m)
-    if nz > 0:
-        coll = max(0.0, 1.0 - inner(zeta, w, m) / (nz * nw))
-    else:
-        coll = 0.0
-    return EigenCertificate(e_res, gap, coll)

@@ -1,8 +1,8 @@
 """Edge-space primitives for graph functionals.
 
 Discrete gradient/divergence pair, a closed-form bound on the norm of their
-composition, the exact projections and the edgewise p-power prox used by the
-dual prox solvers, and the dual FISTA kernel they share.  The divergence is
+composition, and the exact projections and the edgewise p-power prox that the
+dual prox kernel (`prox._prox_dual_fista`) applies.  The divergence is
 the n x E matrix that `div_matrix` builds once per graph (`WeightedGraph.div`),
 and the matrix holds the pairing convention
 
@@ -19,8 +19,6 @@ an iteration.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -69,38 +67,6 @@ def grad_div_opnorm(graph) -> float:
     c = np.bincount(np.concatenate((i_idx, j_idx)), minlength=graph.n)
     c = np.where(graph.interior_mask, c / graph.node_measure, 0.0)
     return float((c[i_idx] + c[j_idx]).max(initial=0.0)) or 1.0
-
-
-def dual_fista(g: np.ndarray, graph, project):
-    """Yield the iterates psi_1, psi_2, ... of FISTA (Beck & Teboulle 2009) on
-
-        min_psi 0.5*||div(psi) - g||^2_m + sum_e h*_e(psi_e)
-
-    for g = 0 on the Dirichlet nodes, on the edges, node measure and interior
-    of `graph`, with constant step 1/L, L = graph.grad_div_opnorm, which
-    bounds the norm of phi -> edge_diff(edge_div(phi)) on every graph, as the
-    proof needs.  `project` is the edgewise prox of h*/L, applied after each
-    gradient step; a projection is the case where h* is the indicator of a set
-    (the dual proximal gradient method of Beck & Teboulle, Oper. Res. Lett.
-    2014).  The momentum restarts (t = 1) whenever it points against the
-    gradient step, the gradient test of O'Donoghue & Candes (FoCM 2015).  The
-    generator never stops; each caller applies its own stopping rule.
-    """
-    i_idx, j_idx, _ = graph.edge_arrays
-    L = graph.grad_div_opnorm
-    psi = np.zeros(len(i_idx))
-    y = psi
-    t = 1.0
-    while True:
-        r = edge_div(y, graph) - g
-        psi_new = project(y - edge_diff(r, i_idx, j_idx) / L)
-        step = psi_new - psi
-        if np.einsum("i,i", y - psi_new, step) > 0.0:
-            t = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = psi_new + ((t - 1.0) / t_new) * step
-        psi, t = psi_new, t_new
-        yield psi
 
 
 def project_box(phi: np.ndarray, lower: np.ndarray,

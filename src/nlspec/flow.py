@@ -19,17 +19,17 @@ import numpy as np
 
 from .core import (
     FunctionalHandle,
-    EigenCertificate,
     as_signal,
+    check_count,
     clamp_boundary,
-    eigen_certificate,
     evaluate,
     inner,
     norm,
     project_nullspace,
 )
 from .errors import BadStep, UnsupportedFunctional
-from .prox import prox, prox_nonvanishing_bound
+from .prox import (EigenCertificate, eigen_certificate, prox,
+                   prox_nonvanishing_bound)
 
 
 @dataclass
@@ -83,6 +83,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
              prox_tol: float = 1e-11) -> FlowTrace:
     if tau is not None and not tau > 0:
         raise BadStep("step size must be positive")
+    check_count("max_steps", max_steps)
     f = clamp_boundary(F, as_signal(f, F.dim))
     m = F.measure
     u_inf = project_nullspace(F, f)
@@ -181,16 +182,12 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
         upper = trace.dist[0] ** (2.0 - p) / ((2.0 - p) * lambda1_estimate)
     lower = 0.0
     if p == 1:
+        # <g, v>/J(v) <= ||g||_* <= T for every v with J(v) > 0, as
+        # g = sum_k tau_k zeta_k with every zeta_k in the dual ball; the
+        # flow's own iterates v = u_k - u_inf are the candidates
         g = trace.f - trace.u_infinity
-        candidates = [g]
-        for i in range(min(F.dim, 64)):
-            e = np.zeros(F.dim)
-            e[i] = 1.0
-            candidates.append(e)
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            candidates.append(rng.standard_normal(F.dim))
-        for v in candidates:
+        for u in trace.us:
+            v = u - trace.u_infinity
             jv = evaluate(F, v)
             if jv > 1e-14:
                 lower = max(lower, inner(g, v, m) / jv)
@@ -247,8 +244,7 @@ def check_decay_envelopes(trace: FlowTrace, F: FunctionalHandle,
     return out
 
 
-def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle, samples: int = 32,
-                      seed: int = 0):
+def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
     """Eigen certificates of each band subgradient (degree-1 functionals) plus
     the orthogonality residual max |<zeta_t, zeta_s - zeta_r>| over all
     bands r <= s <= t."""
@@ -262,7 +258,7 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle, samples: int = 32,
         if nz <= 1e-14:
             certs.append(EigenCertificate(0.0, 0.0, 0.0))
             continue
-        certs.append(eigen_certificate(F, z, nz, samples=samples, seed=seed + k))
+        certs.append(eigen_certificate(F, z, nz))
     Z = np.reshape(trace.zetas[1:], (-1, F.dim))
     G = (Z * m) @ Z.T  # G[t, s] = <zeta_t, zeta_s>
     # for each t, the worst pair r <= s <= t spans the range of G[t, :t+1]

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations
 
 import numpy as np
 
 from .core import (
     FunctionalHandle,
-    EigenCertificate,
     as_signal,
+    check_count,
     clamp_boundary,
-    eigen_certificate,
     evaluate,
     inner,
     norm,
     project_nullspace,
 )
 from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
+from .prox import EigenCertificate, eigen_certificate
 
 
 @dataclass
@@ -58,13 +58,14 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
         raise BadParams("c must lie in (0, 1)")
     if rule not in ("constant", "adaptive"):
         raise BadParams(f"unknown step-size rule {rule!r}")
-    if max_iter < 1:
-        raise BadParams(f"max_iter must be at least 1, got {max_iter}")
+    check_count("max_iter", max_iter)
     start = clamp_boundary(F, as_signal(start, F.dim))
     m = F.measure
     floor = 1e-13 * np.sqrt(F.dim)
 
-    from .prox import prox  # local import to avoid a cycle at module load
+    # looked up at call time, so that a patched or traced nlspec.prox.prox
+    # is the one called
+    from .prox import prox
 
     w = _normalize_off_nullspace(F, start, floor)
     if w is None:
@@ -110,11 +111,7 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     # convergence w and sigma are those of the last prox call
     v_last = v if converged else prox(F, w, sigma, tol=prox_tol).u
     residual_vec = norm(v_last - mu * w, m)
-    osc = 0.0
-    rec = list(recent)
-    for a in range(len(rec)):
-        for b in range(a + 1, len(rec)):
-            osc = max(osc, norm(rec[a] - rec[b], m))
+    osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
                      rayleigh=F.degree * evaluate(F, w),
                      residual=residual_vec,
@@ -131,8 +128,8 @@ def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,
     low-frequency ground states); the rest are seeded Gaussian draws.  Results
     are merged by (rayleigh, start index).
     """
-    if restarts < 1:
-        raise BadParams("need at least one restart")
+    check_count("restarts", restarts)
+    check_count("max_iter", max_iter)
     rng = np.random.default_rng(seed)
     starts = []
     for r in range(restarts):

@@ -1,4 +1,5 @@
-"""Proximal operators for the functional catalog.
+"""Proximal operators for the functional catalog, and the certificates they
+answer.
 
 prox_{sigma J}(f) = argmin 0.5*||u - f||^2_m + sigma*J(u), with a certified
 optimality gap per call and a brute-force oracle for cross-checking.
@@ -15,30 +16,28 @@ Methods by kind:
                    of the conjugate sigma*w*|psi/(sigma*w)|^q/q, q = p/(p-1),
                    in place of a projection; L-BFGS on the (smooth) primal
                    for p >= 2.  Both certify with one Fenchel gap.
+
+The same solver answers the dual questions for every kind:
+`dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
+J (1965), and `eigen_certificate` by the resolvent form of zeta in dJ(w),
+prox_{sigma J}(w + sigma*zeta) = w (Bungert, Burger, Chambolle & Novaga, APDE
+2021).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import edgecalc
-from .core import (
-    FunctionalHandle,
-    clamp_boundary,
-    dual_flow_prox,
-    evaluate,
-    evaluate_batch,
-    inner,
-    norm,
-    project_nullspace,
-    as_signal,
-)
-from .errors import (BadParams, BadStep, DimensionTooLarge, NullspaceElement,
-                     UnsupportedFunctional)
+from .core import (FunctionalHandle, as_signal, check_count, clamp_boundary,
+                   dual_flow_prox, euler_residual, evaluate, evaluate_batch,
+                   inner, norm, project_nullspace)
+from .errors import (BadStep, DimensionTooLarge, NullspaceElement,
+                     UnsupportedFunctional, ZeroSignal)
 
 
 @dataclass(frozen=True)
@@ -58,31 +57,31 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
         raise BadStep(f"prox step must be positive, got {sigma}")
     if not tol > 0:
         raise BadStep("tolerance must be positive")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise BadParams(f"max_iter must be an integer >= 1, got {max_iter}")
+    check_count("max_iter", max_iter)
     # Dirichlet nodes are clamped throughout: the minimization runs over
     # boundary-zero signals, so zeta = (f - u)/sigma vanishes on the boundary
     f = clamp_boundary(F, as_signal(f, F.dim))
+    u, its, gap, ok = _solve(F, f, sigma, tol, max_iter)
+    return ProxSolution(u=u, zeta=(f - u) / sigma, iterations=its, gap=gap,
+                        converged=ok)
 
+
+def _solve(F, f, sigma, tol, max_iter):
+    """prox_{sigma J}(f) for a clamped f and checked arguments, as
+    (u, iterations, gap, converged)."""
     if F.kind == "quadratic_form":
-        u, its, gap, ok = _prox_quadratic(F, f, sigma, tol)
-    elif F.kind == "l1":
-        u = np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0)
-        its, gap, ok = 0, 0.0, True
-    elif F.kind == "linf":
+        return _prox_quadratic(F, f, sigma, tol)
+    if F.kind == "l1":
+        return np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0), 0, 0.0, True
+    if F.kind == "linf":
         m = F.measure
-        u = f - edgecalc.project_weighted_l1(f, m, m, sigma)
-        its, gap, ok = 0, 0.0, True
-    elif F.kind in ("graph_tv", "lipschitz_sup") or (
+        return f - edgecalc.project_weighted_l1(f, m, m, sigma), 0, 0.0, True
+    if F.kind in ("graph_tv", "lipschitz_sup") or (
             F.kind == "dirichlet_p" and F.p < 2.0):
-        u, its, gap, ok = _prox_dual_fista(F, f, sigma, tol, max_iter)
-    elif F.kind == "dirichlet_p":
-        u, its, gap, ok = _prox_dirichlet_smooth(F, f, sigma, tol, max_iter)
-    else:
-        raise UnsupportedFunctional(F.kind)
-
-    zeta = (f - u) / sigma
-    return ProxSolution(u=u, zeta=zeta, iterations=its, gap=gap, converged=ok)
+        return _prox_dual_fista(F, f, sigma, tol, max_iter)
+    if F.kind == "dirichlet_p":
+        return _prox_dirichlet_smooth(F, f, sigma, tol, max_iter)
+    raise UnsupportedFunctional(F.kind)
 
 
 def _prox_quadratic(F, f, sigma, tol):
@@ -113,7 +112,14 @@ def _fenchel_gap(F, f, sigma, u, d, hstar):
 
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
+    """FISTA (Beck & Teboulle 2009) on min_psi 0.5*||div(psi) - f||^2_m +
+    sum_e h*_e(psi_e), with the edgewise prox of h*/L (`core.dual_flow_prox`)
+    after each gradient step of 1/L, L = graph.grad_div_opnorm >= the norm of
+    edge_diff o edge_div.  The momentum restarts when it points against the
+    step (O'Donoghue & Candes, FoCM 2015); every fifth iterate is tested by
+    the Fenchel gap at u = f - div(psi)."""
     graph = F.graph
+    i_idx, j_idx, _ = graph.edge_arrays
     project, conjugate = dual_flow_prox(F, sigma)
 
     def primal_gap(psi):
@@ -121,10 +127,19 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
         u = f - d
         return (u, *_fenchel_gap(F, f, sigma, u, d, conjugate(psi)))
 
-    best = primal_gap(np.zeros(len(graph.edge_arrays[0])))
-    its = 0
-    iterates = edgecalc.dual_fista(f, graph, project)
-    for its, psi in enumerate(islice(iterates, max_iter), start=1):
+    psi = y = np.zeros(len(i_idx))
+    best = primal_gap(psi)
+    L = graph.grad_div_opnorm
+    t = 1.0
+    for its in range(1, max_iter + 1):
+        r = edgecalc.edge_div(y, graph) - f
+        psi_new = project(y - edgecalc.edge_diff(r, i_idx, j_idx) / L)
+        step = psi_new - psi
+        if np.einsum("i,i", y - psi_new, step) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = psi_new + ((t - 1.0) / t_new) * step
+        psi, t = psi_new, t_new
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_gap(psi)
             if gap <= tol * (1.0 + abs(pval)):
@@ -213,3 +228,51 @@ def prox_nonvanishing_bound(F: FunctionalHandle, f) -> float:
         raise NullspaceElement("J(f) = 0: bound undefined")
     g = f - project_nullspace(F, f)
     return norm(g, F.measure) ** 2 / jf
+
+
+#: tolerance and iteration cap of the certificate solves
+_CERT_TOL, _CERT_MAX_ITER = 1e-12, 50000
+
+
+def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
+    """Is zeta within tol*(1 + ||zeta||_m) of K_J = dJ(0) = {z : <z,u> <=
+    J(u) for all u}?  For one-homogeneous J only, where ||prox_J(zeta)||_m is
+    that distance; Dirichlet nodes carry no constraint."""
+    if F.degree != 1:
+        raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
+    zeta = clamp_boundary(F, as_signal(zeta, F.dim))
+    u = _solve(F, zeta, 1.0, _CERT_TOL, _CERT_MAX_ITER)[0]
+    return norm(u, F.measure) <= tol * (1.0 + norm(zeta, F.measure))
+
+
+@dataclass(frozen=True)
+class EigenCertificate:
+    """Residuals of (w, lam), zeta = lam*||w||^(p-2)*w, that vanish exactly
+    for a true eigenpair.  subgradient_gap = ||prox_{sigma J}(w + sigma*zeta)
+    - w||_m / sigma, sigma = 1/lam (1 if lam <= 0), is 0 exactly when zeta is
+    in dJ(w), and at most dist(zeta, dJ(w)) as the prox is nonexpansive; it
+    reads the accuracy of its solve (tol 1e-12) in place of 0."""
+
+    euler_residual: float
+    subgradient_gap: float
+    collinearity: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.euler_residual, self.subgradient_gap, self.collinearity)
+
+
+def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
+    w = as_signal(w, F.dim)
+    m = F.measure
+    nw = norm(w, m)
+    if nw == 0.0:
+        raise ZeroSignal("cannot certify the zero signal")
+    zeta = lam * nw ** (F.degree - 2.0) * w
+    sigma = 1.0 / lam if lam > 0 else 1.0
+    u = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma, _CERT_TOL,
+               _CERT_MAX_ITER)[0]
+    nz = norm(zeta, m)
+    coll = max(0.0, 1.0 - inner(zeta, w, m) / (nz * nw)) if nz > 0 else 0.0
+    return EigenCertificate(euler_residual(F, w, zeta),
+                            norm(u - w, m) / sigma, coll)

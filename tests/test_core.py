@@ -341,6 +341,44 @@ class TestEigenCertificate:
     def test_deterministic_in_seed(self):
         F = nl.make_functional("l1", n=3)
         w = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        a = nl.eigen_certificate(F, w, 1.0, seed=3)
-        b = nl.eigen_certificate(F, w, 1.0, seed=3)
+        a = nl.eigen_certificate(F, w, 1.0)
+        b = nl.eigen_certificate(F, w, 1.0)
         assert a == b
+
+    @pytest.mark.parametrize("kind, least", [("graph_tv", 0.8),
+                                             ("lipschitz_sup", 0.35)])
+    def test_false_eigenpair_on_a_path_flagged(self, kind, least):
+        # w = a mean-free Gaussian on a 6-node path, lam = J(w): the Euler
+        # identity holds, but zeta = lam*w is no subgradient at w
+        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(width=6)))
+        w = np.random.default_rng(0).standard_normal(6)
+        w -= w.mean()
+        w /= np.linalg.norm(w)
+        c = nl.eigen_certificate(F, w, nl.evaluate(F, w))
+        assert c.euler_residual <= 1e-15 and c.collinearity == 0.0
+        assert c.subgradient_gap > least
+
+    def test_gap_bounded_by_distance_to_the_subdifferential(self):
+        # l1: dJ(w) is sign(w_i) on the support and [-1, 1] off it, so the
+        # m-distance from zeta to dJ(w) is in closed form
+        m = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+        F = nl.make_functional("l1", node_measure=m)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            w = rng.standard_normal(5) * (rng.random(5) < 0.7)
+            if not w.any():
+                continue
+            lam = rng.uniform(0.1, 5.0)
+            zeta = lam * w / nl.norm(w, m)
+            miss = np.where(w != 0, zeta - np.sign(w),
+                            np.maximum(np.abs(zeta) - 1.0, 0.0))
+            dist = nl.norm(miss, m)
+            gap = nl.eigen_certificate(F, w, lam).subgradient_gap
+            assert 0.0 < gap <= dist + 1e-12
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        F = nl.make_functional("graph_tv", path_graph(4))
+        nl.eigen_certificate(F, np.array([1.0, 0.5, -0.5, -1.0]), 1.0)

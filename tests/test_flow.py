@@ -136,6 +136,13 @@ class TestRunFlow:
         with pytest.raises(nl.errors.BadStep):
             nl.run_flow(F, np.array(f), tau=tau)
 
+    @pytest.mark.parametrize("max_steps", [2.5, -3, 0])
+    def test_max_steps_must_be_a_positive_integer(self, max_steps):
+        # -3 once returned an empty trace, 2.5 a bare TypeError
+        F = nl.make_functional("graph_tv", path_graph(3))
+        with pytest.raises(nl.errors.BadParams):
+            nl.run_flow(F, np.array([1.0, 0.0, -1.0]), max_steps=max_steps)
+
     def test_horizon_stop(self):
         g = path_graph(4)
         F = nl.make_functional("quadratic_form", matrix=nl.laplacian_matrix(g))
@@ -202,9 +209,9 @@ class TestExtinctionReport:
         assert rep["lower"] == 0.0
 
     def test_memory_linear_in_the_nodes(self):
-        """The 64 unit directions of the p = 1 lower bound are built one at
-        a time: the identity matrix of this 2,048-node grid alone would take
-        33.6 MB."""
+        """The candidates of the p = 1 lower bound, the flow's iterates, are
+        centred one at a time: the identity matrix of this 2,048-node grid
+        alone would take 33.6 MB."""
         g = nl.build_grid_graph(nl.GridSpec(width=64, height=32,
                                             spacing=1 / 32))
         F = nl.make_functional("graph_tv", g)
@@ -218,6 +225,48 @@ class TestExtinctionReport:
             tracemalloc.stop()
         assert rep["lower"] > 0.0
         assert peak < 4e6
+
+
+    def test_path_lower_bound_within_one_step(self):
+        # TV flow of the seed-0 Gaussian on a 64-node path at the default
+        # step (0.091): its iterates pin ||f - u_inf||_* to within a step of
+        # the extinction time T
+        F = nl.make_functional("graph_tv",
+                               nl.build_grid_graph(nl.GridSpec(width=64)))
+        tr = nl.run_flow(F, np.random.default_rng(0).standard_normal(64))
+        rep = nl.extinction_report(tr, F)
+        T, tau = rep["measured"], tr.tau.max()
+        assert tau == pytest.approx(0.091, abs=1e-3)
+        assert T - tau <= rep["lower"] <= T
+
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    @pytest.mark.parametrize("spec", [
+        nl.GridSpec(width=12),
+        nl.GridSpec(width=12, boundary_mode="dirichlet"),
+        nl.GridSpec(width=5, height=4),
+        nl.GridSpec(width=5, height=4, boundary_mode="dirichlet"),
+    ], ids=["path12", "path12_dirichlet", "grid5x4", "grid5x4_dirichlet"])
+    def test_lower_bound_below_extinction_time(self, kind, spec):
+        # <g, v>/J(v) <= ||g||_* <= T for every v; on these flows the
+        # iterates reach at least 0.82 T (unit directions and Gaussian
+        # draws at most 0.73 T)
+        F = nl.make_functional(kind, nl.build_grid_graph(spec))
+        f = np.random.default_rng(1).standard_normal(F.dim)
+        tr = nl.run_flow(F, f, prox_tol=1e-12)
+        rep = nl.extinction_report(tr, F)
+        T = rep["measured"]
+        assert 0.75 * T <= rep["lower"] <= T
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        F = nl.make_functional("graph_tv", path_graph(6))
+        tr = nl.run_flow(F, np.array([1.0, -0.4, 0.3, 0.9, -1.2, 0.2]),
+                         prox_tol=1e-12)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("random numbers drawn")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert nl.extinction_report(tr, F)["lower"] > 0.0
+        nl.band_eigen_scores(tr, F)
 
 
 class TestDecayEnvelopes:
@@ -300,7 +349,7 @@ class TestBandEigenScores:
                 # every r <= s at once
                 vals = ((Z[s] - Z[:s + 1]) * F.measure) @ Z[t]
                 brute = max(brute, float(np.max(np.abs(vals))))
-        ortho = nl.band_eigen_scores(tr, F, samples=1)["orthogonality_residual"]
+        ortho = nl.band_eigen_scores(tr, F)["orthogonality_residual"]
         assert ortho == pytest.approx(brute, rel=1e-12)
 
 

@@ -198,3 +198,15 @@ class TestGroundStateSearch:
         F = nl.make_functional("l1", n=2)
         with pytest.raises(errors.BadParams):
             nl.ground_state_search(F, restarts=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda F: nl.power_method(F, np.array([1.0, 0.0]), max_iter=2.5),
+        lambda F: nl.power_method(F, np.array([1.0, 0.0]), max_iter="3"),
+        lambda F: nl.ground_state_search(F, restarts=2.5),
+        lambda F: nl.ground_state_search(F, max_iter=2.5),
+    ], ids=["power_max_iter", "power_max_iter_str", "restarts",
+            "search_max_iter"])
+    def test_counts_must_be_integers(self, call):
+        # a fraction once ended in a bare TypeError from range()
+        with pytest.raises(errors.BadParams):
+            call(nl.make_functional("l1", n=2))

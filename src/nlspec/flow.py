@@ -5,7 +5,8 @@ u_inf = P_N f, which is computed up front (mass conservation makes the two
 agree).  The trace records scalars per step plus the iterates u_k; the
 subgradients zeta_k = (u_{k-1} - u_k)/tau_k are derived from them, so the
 spectral decomposition f = P_N f + sum_k tau_k zeta_k + remainder telescopes
-to machine precision.
+to machine precision.  Every decay bound is one law: d/dt Phi_p(||u - u_inf||)
+= -Lambda(u) <= -lambda_1, with Phi_p the primitive `_decay_primitive`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    NULLSPACE_FLOOR,
     FunctionalHandle,
     as_signal,
     check_count,
@@ -90,21 +92,10 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
     dist0 = norm(f - u_inf, m)
     floor = max(extinction_tol * dist0, 1e-300)
 
-    ts, taus, Js, dists, lams, znorms, prof = [0.0], [0.0], [evaluate(F, f)], \
-        [dist0], [], [0.0], [float("nan")]
-    us = [f.copy()]
-    warnings = []
-    gap_total = 0.0
-    extinction_index = None
+    us, taus, Js, dists = [f.copy()], [0.0], [evaluate(F, f)], [dist0]
+    warnings, gap_total, extinction_index = [], 0.0, None
 
-    def lam_at(jv, dv):
-        if dv > floor:
-            return F.degree * jv / dv ** F.degree
-        return float("nan")
-
-    lams.append(lam_at(Js[0], dists[0]))
-
-    if dist0 <= 1e-13 * math.sqrt(F.dim):
+    if dist0 <= NULLSPACE_FLOOR * math.sqrt(F.dim):
         extinction_index = 0
     else:
         if tau is None:
@@ -122,36 +113,47 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
                     break
                 warnings.append(f"step {k}: prox not converged at tau={tau_k}")
             gap_total += sol.gap
-            u_next, zeta = sol.u, sol.zeta
             t_acc += tau_k
-            jv = evaluate(F, u_next)
-            dv = norm(u_next - u_inf, m)
-            lv = lam_at(jv, dv)
-            ts.append(t_acc)
+            us.append(sol.u)
             taus.append(tau_k)
-            Js.append(jv)
-            dists.append(dv)
-            lams.append(lv)
-            znorms.append(norm(zeta, m))
-            if dv > floor and not math.isnan(lv):
-                w_k = (u_next - u_inf) / dv
-                res = norm(zeta / dv ** (F.degree - 1.0) - lv * w_k, m)
-            else:
-                res = float("nan")
-            prof.append(res)
-            us.append(u_next)
-            if dv <= floor:
+            Js.append(evaluate(F, sol.u))
+            dists.append(norm(sol.u - u_inf, m))
+            if dists[-1] <= floor:
                 extinction_index = k
                 break
             if time_horizon is not None and t_acc >= time_horizon:
                 break
 
+    # the Rayleigh values and profile residuals, derived from the iterates
+    p = F.degree
+    lams = [p * jv / dv ** p if dv > floor else math.nan
+            for jv, dv in zip(Js, dists)]
+    znorms, prof = [0.0], [math.nan]
+    for a, u, s, dv, lv in zip(us, us[1:], taus[1:], dists[1:], lams[1:]):
+        zeta = (a - u) / s
+        znorms.append(norm(zeta, m))
+        prof.append(norm(zeta / dv ** (p - 1.0) - lv * ((u - u_inf) / dv), m)
+                    if dv > floor else math.nan)
     return FlowTrace(
-        us=us, u_infinity=u_inf, degree=F.degree,
-        t=np.array(ts), tau=np.array(taus), J=np.array(Js),
+        us=us, u_infinity=u_inf, degree=p,
+        t=np.cumsum(taus), tau=np.array(taus), J=np.array(Js),
         dist=np.array(dists), Lambda=np.array(lams), zeta_norm=np.array(znorms),
         profile_residual=np.array(prof), extinction_index=extinction_index,
         prox_gap_total=gap_total, warnings=warnings)
+
+
+def _decay_primitive(d, p):
+    """Phi_p(d) = d^(2-p)/(2-p), or log d at p = 2; Phi_p(0) is finite (zero)
+    exactly when the flow reaches u_inf in finite time, which is p < 2."""
+    with np.errstate(divide="ignore"):
+        if p == 2:
+            return np.log(d)
+        return np.power(d, 2.0 - p) / (2.0 - p)
+
+
+def _distance_floor(trace: FlowTrace) -> float:
+    """Distances at or below this are rounding noise around u_inf."""
+    return 1e-13 * (trace.dist[0] + 1.0)
 
 
 def decompose(trace: FlowTrace):
@@ -172,14 +174,12 @@ def decompose(trace: FlowTrace):
 def extinction_report(trace: FlowTrace, F: FunctionalHandle,
                       lambda1_estimate: float = None):
     """Measured extinction time plus the theoretical upper/lower bounds."""
-    p = trace.degree
-    m = F.measure
-    measured = None
-    if trace.extinction_index is not None:
-        measured = float(trace.t[trace.extinction_index])
-    upper = None
-    if p < 2 and lambda1_estimate is not None and lambda1_estimate > 0:
-        upper = trace.dist[0] ** (2.0 - p) / ((2.0 - p) * lambda1_estimate)
+    p, k_ext = trace.degree, trace.extinction_index
+    measured = None if k_ext is None else float(trace.t[k_ext])
+    upper = None  # T <= Phi_p(dist_0)/lambda_1 wherever Phi_p(0) = 0 is finite
+    if lambda1_estimate is not None and lambda1_estimate > 0 \
+            and np.isfinite(_decay_primitive(0.0, p)):
+        upper = float(_decay_primitive(trace.dist[0], p)) / lambda1_estimate
     lower = 0.0
     if p == 1:
         # <g, v>/J(v) <= ||g||_* <= T for every v with J(v) > 0, as
@@ -190,58 +190,33 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
             v = u - trace.u_infinity
             jv = evaluate(F, v)
             if jv > 1e-14:
-                lower = max(lower, inner(g, v, m) / jv)
+                lower = max(lower, inner(g, v, F.measure) / jv)
     return {"measured": measured, "upper": upper, "lower": lower}
 
 
 def check_decay_envelopes(trace: FlowTrace, F: FunctionalHandle,
                           lambda1_estimate: float):
-    """Signed slack (>= 0 means satisfied) of every applicable decay envelope."""
-    p = trace.degree
-    t, dist = trace.t, trace.dist
-    floor = 1e-13 * (trace.dist[0] + 1.0)
-    pre = dist > max(floor, 1e-8 * trace.dist[0])
-    out = {}
-
-    def record(name, slack_arr, mask):
-        vals = slack_arr[mask]
-        out[name] = {"worst": float(np.min(vals)) if len(vals) else float("nan"),
-                     "slack": slack_arr}
-
-    lam1 = lambda1_estimate
-    if p < 2:
-        env = dist[0] ** (2 - p) - (2 - p) * lam1 * t
-        record("upper", env - dist ** (2 - p), pre)
-    elif p == 2:
-        env = dist[0] ** 2 * np.exp(-2 * lam1 * t)
-        record("upper", env - dist ** 2, np.ones_like(pre, dtype=bool))
-    else:
-        env = 1.0 / (dist[0] ** (2 - p) + (p - 2) * lam1 * t)
-        with np.errstate(divide="ignore"):
-            record("upper", env - dist ** (p - 2), pre)
-
-    if len(t) > 1:
-        d1, t1, L1 = dist[1], t[1], trace.Lambda[1]
-        tail = np.arange(len(t)) >= 1
-        if not math.isnan(L1) and d1 > floor:
-            if p < 2:
-                env = d1 ** (2 - p) - (2 - p) * L1 * (t - t1)
-                record("lower", dist ** (2 - p) - env, tail)
-            elif p == 2:
-                env = d1 ** 2 * np.exp(-2 * L1 * (t - t1))
-                record("lower", dist ** 2 - env, tail)
-            else:
-                env = 1.0 / (d1 ** (2 - p) + (p - 2) * L1 * (t - t1))
-                with np.errstate(divide="ignore"):
-                    record("lower", dist ** (p - 2) - env, tail & pre)
-
-    if p < 2 and trace.extinction_index is not None:
-        T = trace.t[trace.extinction_index]
-        lamk = trace.Lambda
-        record("improved_lower", dist ** (2 - p) - (2 - p) * lam1 * (T - t), pre)
-        with np.errstate(invalid="ignore"):
-            record("improved_upper", (2 - p) * lamk * (T - t) - dist ** (2 - p), pre)
-    return out
+    """Signed slack (>= 0 means satisfied) of every applicable decay envelope,
+    in units of Phi_p (`_decay_primitive`).  Along the flow Phi_p(dist) falls
+    at rate Lambda, which is at least lambda_1 and at most Lambda_k after
+    step k; "worst" is the minimum over the distances above the floor."""
+    p, t, lam, lam1 = trace.degree, trace.t, trace.Lambda, lambda1_estimate
+    dist = trace.dist
+    floor = _distance_floor(trace)
+    pre = dist > max(floor, 1e-8 * dist[0])
+    phi = _decay_primitive(dist, p)
+    slacks = {}
+    with np.errstate(invalid="ignore"):
+        slacks["upper"] = (phi[0] - lam1 * t - phi, pre)
+        if len(t) > 1 and dist[1] > floor and not math.isnan(lam[1]):
+            slacks["lower"] = (phi - phi[1] + lam[1] * (t - t[1]), pre & (t >= t[1]))
+        if trace.extinction_index is not None and np.isfinite(_decay_primitive(0.0, p)):
+            T = t[trace.extinction_index]
+            slacks["improved_lower"] = (phi - lam1 * (T - t), pre)
+            slacks["improved_upper"] = (lam * (T - t) - phi, pre)
+    return {name: {"worst": float(np.min(s[mask])) if mask.any() else float("nan"),
+                   "slack": s}
+            for name, (s, mask) in slacks.items()}
 
 
 def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
@@ -270,7 +245,7 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
 def profile_convergence(trace: FlowTrace):
     """Last normalized profile, its Rayleigh value, and the residual history
     driven to zero (along a subsequence) as the flow approaches extinction."""
-    floor = 1e-13 * (trace.dist[0] + 1.0)
+    floor = _distance_floor(trace)
     # the last step above the distance floor with a Rayleigh value, else 0
     idx = next((k for k in range(trace.n_steps, 0, -1) if trace.dist[k] > floor
                 and not math.isnan(trace.Lambda[k])), 0)

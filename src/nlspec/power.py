@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    NULLSPACE_FLOOR,
     FunctionalHandle,
     as_signal,
     check_count,
@@ -26,6 +27,9 @@ from .core import (
 )
 from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
 from .prox import EigenCertificate, eigen_certificate
+
+#: duality-gap tolerance of every prox solve of the power method
+PROX_TOL = 1e-13
 
 
 @dataclass
@@ -39,7 +43,7 @@ class EigenPair:
     certificate: EigenCertificate
     history: list          # per-iteration {"J", "residual", "sigma", "mu", "w_norm"}
     oscillation: float     # max pairwise distance over the last 10 iterates
-    converged: bool
+    converged: bool        # the residual reached tol and every prox solve converged
 
 
 def _normalize_off_nullspace(F, u, floor):
@@ -52,7 +56,7 @@ def _normalize_off_nullspace(F, u, floor):
 
 def power_method(F: FunctionalHandle, start, c: float = 0.9,
                  rule: str = "constant", tol: float = 1e-13,
-                 max_iter: int = 2000, prox_tol: float = 1e-13) -> EigenPair:
+                 max_iter: int = 2000) -> EigenPair:
     """Run the normalized proximal iteration from `start`."""
     if not (0.0 < c < 1.0):
         raise BadParams("c must lie in (0, 1)")
@@ -61,7 +65,7 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     check_count("max_iter", max_iter)
     start = clamp_boundary(F, as_signal(start, F.dim))
     m = F.measure
-    floor = 1e-13 * np.sqrt(F.dim)
+    floor = NULLSPACE_FLOOR * np.sqrt(F.dim)
 
     # looked up at call time, so that a patched or traced nlspec.prox.prox
     # is the one called
@@ -78,7 +82,7 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     history = []
     recent = deque(maxlen=10)
     mu = sigma = resid = None
-    converged = False
+    converged, solved = False, True  # solved: every prox solve converged
     for _ in range(max_iter):
         Jw = evaluate(F, w)
         if rule == "adaptive":
@@ -87,7 +91,8 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
             sigma = c / Jw
         else:
             sigma = sigma0
-        sol = prox(F, w, sigma, tol=prox_tol)
+        sol = prox(F, w, sigma, tol=PROX_TOL)
+        solved = solved and sol.converged
         v = sol.u
         nv = norm(v, m)
         if nv <= floor:
@@ -109,14 +114,16 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
     # fixed-point residual in vector form: prox_sigma(w) vs mu*w; after
     # convergence w and sigma are those of the last prox call
-    v_last = v if converged else prox(F, w, sigma, tol=prox_tol).u
-    residual_vec = norm(v_last - mu * w, m)
+    if not converged:
+        sol = prox(F, w, sigma, tol=PROX_TOL)
+        solved = solved and sol.converged
+    residual_vec = norm(sol.u - mu * w, m)
     osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
                      rayleigh=F.degree * evaluate(F, w),
                      residual=residual_vec,
                      certificate=eigen_certificate(F, w, lam),
-                     history=history, oscillation=osc, converged=converged)
+                     history=history, oscillation=osc, converged=converged and solved)
 
 
 def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,

@@ -161,8 +161,7 @@ def test_criterion_6_power_method_invariant_suite():
                 for seed in range(20):
                     start = np.random.default_rng(seed).standard_normal(F.dim)
                     pair = nl.power_method(F, start, c=c, rule=rule,
-                                           tol=1e-12, max_iter=60,
-                                           prox_tol=1e-13)
+                                           tol=1e-12, max_iter=60)
                     runs += 1
                     Js = [h["J"] for h in pair.history]
                     gap_tol = 1e-8 * (1.0 + Js[0])

@@ -188,6 +188,12 @@ class TestExtinctionReport:
         tr = nl.run_flow(F, f, tau=0.05, prox_tol=1e-13)
         rep = nl.extinction_report(tr, F, lambda1_estimate=2.0)
         assert rep["upper"] == pytest.approx(0.5)
+        # p = 1.5: T <= d_0^(2-p) / ((2-p) lambda_1)
+        F = nl.make_functional("dirichlet_p", path_graph(2), p=1.5)
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=3, prox_tol=1e-13)
+        rep = nl.extinction_report(tr, F, lambda1_estimate=2.0)
+        assert rep["upper"] == pytest.approx(tr.dist[0] ** 0.5 / (0.5 * 2.0),
+                                             rel=1e-14)
 
     def test_ground_state_bounds_coincide(self):
         F = two_node_tv()
@@ -269,7 +275,55 @@ class TestExtinctionReport:
         nl.band_eigen_scores(tr, F)
 
 
+def three_regime_slacks(tr, lam1):
+    """The decay envelopes written per p-regime in powers of the distance
+    (exponentials at p = 2): the reference for the slacks in Phi_p units."""
+    p, t, dist, L = tr.degree, tr.t, tr.dist, tr.Lambda
+    d0, d1, t1, L1 = dist[0], dist[1], t[1], L[1]
+    if p < 2:
+        out = {"upper": d0 ** (2 - p) - (2 - p) * lam1 * t - dist ** (2 - p),
+               "lower": dist ** (2 - p) - (d1 ** (2 - p) - (2 - p) * L1 * (t - t1))}
+    elif p == 2:
+        out = {"upper": d0 ** 2 * np.exp(-2 * lam1 * t) - dist ** 2,
+               "lower": dist ** 2 - d1 ** 2 * np.exp(-2 * L1 * (t - t1))}
+    else:
+        out = {"upper": 1 / (d0 ** (2 - p) + (p - 2) * lam1 * t) - dist ** (p - 2),
+               "lower": dist ** (p - 2) - 1 / (d1 ** (2 - p) + (p - 2) * L1 * (t - t1))}
+    if p < 2 and tr.extinction_index is not None:
+        T = t[tr.extinction_index]
+        out["improved_lower"] = dist ** (2 - p) - (2 - p) * lam1 * (T - t)
+        out["improved_upper"] = (2 - p) * L * (T - t) - dist ** (2 - p)
+    return out
+
+
 class TestDecayEnvelopes:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_slacks_keep_the_signs_of_the_three_regimes(self, p):
+        """Every slack in Phi_p units has the sign of the per-regime form, at
+        an under- and an over-estimate of lambda_1; the p = 1 and p = 1.5
+        flows reach extinction, and at p = 1 the two forms agree."""
+        g = path_graph(6)
+        if p == 1:
+            F = nl.make_functional("graph_tv", g)
+        elif p == 2:
+            F = nl.make_functional("quadratic_form", matrix=nl.laplacian_matrix(g))
+        else:
+            F = nl.make_functional("dirichlet_p", g, p=p)
+        f = np.random.default_rng(3).standard_normal(6)
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=400, prox_tol=1e-12)
+        assert (tr.extinction_index is not None) == (p < 2)
+        for lam1 in (0.5 * nl.rayleigh(F, f), 2.0 * nl.rayleigh(F, f)):
+            rep = nl.check_decay_envelopes(tr, F, lam1)
+            ref = three_regime_slacks(tr, lam1)
+            assert set(rep) == set(ref)
+            for name, slack in ref.items():
+                assert np.array_equal(np.sign(rep[name]["slack"]), np.sign(slack),
+                                      equal_nan=True), name
+                if p == 1:
+                    np.testing.assert_allclose(
+                        rep[name]["slack"], slack, rtol=0,
+                        atol=1e-12 * np.nanmax(np.abs(slack)))
+
     def test_p2_upper_envelope(self):
         g = path_graph(4)
         L = nl.laplacian_matrix(g)

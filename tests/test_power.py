@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -43,6 +44,22 @@ class TestPowerMethod:
             assert len(calls) == len(pair.history) + extra
             v = prox(F, pair.w, pair.sigma, tol=1e-13).u
             assert pair.residual == nl.core.norm(v - pair.mu * pair.w, F.measure)
+
+    def test_unconverged_prox_solve_is_reported(self, monkeypatch):
+        """A run whose residual reaches tol is still unconverged when a prox
+        solve of the run was."""
+        prox_module = importlib.import_module("nlspec.prox")
+        prox = prox_module.prox
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=5)))
+        start = np.array([1.0, 0.2, -0.5, 0.3, -1.0])
+        assert nl.power_method(F, start).converged
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(prox(*args, **kwargs), converged=False)
+        monkeypatch.setattr(prox_module, "prox", unconverged)
+        pair = nl.power_method(F, start)
+        assert pair.history[-1]["residual"] <= 1e-13
+        assert not pair.converged
 
     def test_lambda_formula_from_mu_sigma(self):
         # at degree 2: mu = 0.5, sigma = 1 -> lambda = (1-mu)/(sigma*mu) = 1

@@ -154,7 +154,13 @@ class WeightedGraph:
 
 
 def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
-    """Hook-and-jump union-find (Shiloach & Vishkin, J. Algorithms 1982).
+    """Is the graph of the edges (i, j) on n nodes connected?"""
+    return not components(n, i, j).any()
+
+
+def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The root of each of the n nodes in the graph of the edges (i, j), by
+    hook-and-jump union-find (Shiloach & Vishkin, J. Algorithms 1982).
 
     Every node points to a smaller or equal index, so pointer jumping ends at
     one root per component: the smallest index in it.
@@ -163,7 +169,7 @@ def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
     while True:
         ri, rj = root[i], root[j]
         if (ri == rj).all():
-            return not root.any()
+            return root
         np.minimum.at(root, ri, rj)
         np.minimum.at(root, rj, ri)
         jumped = root[root]
@@ -288,7 +294,7 @@ def euler_residual(F: FunctionalHandle, u, zeta) -> float:
 
 def dual_flow_prox(F: FunctionalHandle, sigma: float):
     """The edge-flow side of the prox dual of sigma*J on a graph,
-    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a pair:
+    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a triple:
 
     - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
       `prox._prox_dual_fista` applies after each gradient step: the projection
@@ -297,7 +303,9 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
       with 1 < p < 2 `edgecalc.prox_power_conjugate` with
       h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
     - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
-      subtracts: 0 for the indicators.
+      subtracts: 0 for the indicators;
+    - the box radii sigma*w for the box kinds, else None: an edge strictly
+      inside its box joins two nodes on which the exact prox is equal.
 
     The edgecalc maps, and L, are looked up at call time, so a caller that
     only needs h* never computes L.
@@ -306,15 +314,15 @@ def dual_flow_prox(F: FunctionalHandle, sigma: float):
     if F.kind == "lipschitz_sup":
         inv_w, ones = 1.0 / w, np.ones_like(w)
         return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
-                _zero_conjugate)
+                _zero_conjugate, None)
     a = sigma * w
     if F.kind == "dirichlet_p" and F.p > 1.0:
         q, graph = F.p / (F.p - 1.0), F.graph
         return (lambda psi: edgecalc.prox_power_conjugate(
                     psi, a, graph.grad_div_opnorm, q),
-                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q)
+                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None)
     lower = -a
-    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate
+    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate, a
 
 
 def _zero_conjugate(psi):

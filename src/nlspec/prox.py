@@ -9,7 +9,10 @@ Methods by kind:
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact sort-based projection onto the scaled dual l1 ball
   graph_tv         FISTA with adaptive restart on the dual edge-flow
-                   problem, box constraint (also dirichlet_p with p = 1)
+                   problem, box constraint (also dirichlet_p with p = 1);
+                   the primal is also tried rounded to the means of the
+                   clusters the unsaturated edges join, once the gap is at
+                   sqrt(tol) and again after each tenfold fall
   lipschitz_sup    FISTA with adaptive restart on the dual, weighted-l1
                    coupling of edge flows
   dirichlet_p      the same dual kernel for 1 < p < 2, with the edgewise prox
@@ -34,8 +37,8 @@ from scipy.optimize import minimize
 
 from . import edgecalc
 from .core import (FunctionalHandle, as_signal, check_count, clamp_boundary,
-                   dual_flow_prox, euler_residual, evaluate, evaluate_batch,
-                   inner, norm, project_nullspace)
+                   components, dual_flow_prox, euler_residual, evaluate,
+                   evaluate_batch, inner, norm, project_nullspace)
 from .errors import (BadStep, DimensionTooLarge, NullspaceElement,
                      UnsupportedFunctional, ZeroSignal)
 
@@ -117,15 +120,37 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     after each gradient step of 1/L, L = graph.grad_div_opnorm >= the norm of
     edge_diff o edge_div.  The momentum restarts when it points against the
     step (O'Donoghue & Candes, FoCM 2015); every fifth iterate is tested by
-    the Fenchel gap at u = f - div(psi)."""
+    the Fenchel gap at u = f - div(psi).
+
+    For the box kinds a check may also try u rounded to its clusters
+    (`_cluster_means`) and keep the candidate of smaller gap against the same
+    psi.  The exact prox is constant on the components of the edges strictly
+    inside the box (complementary slackness), and their means of f - div(psi)
+    depend only on the clipped flows of their boundary edges: once the
+    iterates have found the jump set the rounded u is exact, and the gap is
+    the dual error alone where u = f - div(psi) carries its square root.
+    Tries are rationed by the relative gap of u = f - div(psi): the first at
+    sqrt(tol), each later one after a tenfold fall since the last.
+    """
     graph = F.graph
     i_idx, j_idx, _ = graph.edge_arrays
-    project, conjugate = dual_flow_prox(F, sigma)
+    project, conjugate, box = dual_flow_prox(F, sigma)
+    next_round = math.sqrt(tol) if box is not None else -math.inf
 
     def primal_gap(psi):
+        nonlocal next_round
         d = edgecalc.edge_div(psi, graph)
+        hstar = conjugate(psi)
         u = f - d
-        return (u, *_fenchel_gap(F, f, sigma, u, d, conjugate(psi)))
+        pval, gap = _fenchel_gap(F, f, sigma, u, d, hstar)
+        rel = gap / (1.0 + abs(pval))
+        if rel <= next_round:
+            next_round = rel / 10.0
+            v = _cluster_means(F, f, psi, np.abs(psi) < box)
+            pv, gv = _fenchel_gap(F, f, sigma, v, d, hstar)
+            if gv < gap:
+                return v, pv, gv
+        return u, pval, gap
 
     psi = y = np.zeros(len(i_idx))
     best = primal_gap(psi)
@@ -150,6 +175,27 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     return u, its, gap, gap <= tol * (1.0 + abs(pval))
 
 
+def _cluster_means(F, f, psi, joined):
+    """f - div(psi) replaced by its m-weighted mean on each component of the
+    edges flagged in `joined`, and by 0 on a component that holds a Dirichlet
+    node.  The flows inside a component cancel in its mean, so the mean is
+    taken from f and the flows on the edges that leave the component."""
+    i_idx, j_idx, _ = F.graph.edge_arrays
+    m, n = F.measure, len(f)
+    root = components(n, i_idx[joined], j_idx[joined])
+    ri, rj = root[i_idx], root[j_idx]
+    cut = ri != rj
+    # m_k*div(psi)_k adds the flows that end at k and takes those that start
+    total = (np.bincount(root, weights=m * f, minlength=n)
+             - np.bincount(rj[cut], weights=psi[cut], minlength=n)
+             + np.bincount(ri[cut], weights=psi[cut], minlength=n))
+    mass = np.bincount(root, weights=m, minlength=n)
+    # only the roots carry mass, so only they are divided
+    mean = np.divide(total, mass, out=np.zeros(n), where=mass > 0.0)
+    mean[root[~F.graph.interior_mask]] = 0.0
+    return mean[root]
+
+
 def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     """L-BFGS on the smooth primal over all nodes: a clamped node starts at
     0 with zero gradient, so it stays there."""
@@ -157,7 +203,7 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     i_idx, j_idx, w = graph.edge_arrays
     m = graph.node_measure
     p = F.p
-    _, conjugate = dual_flow_prox(F, sigma)
+    _, conjugate, _ = dual_flow_prox(F, sigma)
 
     def div_flow(u):
         # the flow sigma*w*|du|^(p-1)*sign(du) that is the gradient of
@@ -251,7 +297,9 @@ class EigenCertificate:
     for a true eigenpair.  subgradient_gap = ||prox_{sigma J}(w + sigma*zeta)
     - w||_m / sigma, sigma = 1/lam (1 if lam <= 0), is 0 exactly when zeta is
     in dJ(w), and at most dist(zeta, dJ(w)) as the prox is nonexpansive; it
-    reads the accuracy of its solve (tol 1e-12) in place of 0."""
+    reads the accuracy of its solve (tol 1e-12) in place of 0.  On a graph_tv
+    (or p = 1) eigenvector, constant on clusters, the solve rounds to them
+    (`_prox_dual_fista`) and it reads exactly 0."""
 
     euler_residual: float
     subgradient_gap: float

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 import nlspec as nl
 from nlspec import errors
@@ -97,6 +99,28 @@ class TestWeightedGraph:
             else:
                 with pytest.raises(errors.BadParams, match="not connected"):
                     nl.WeightedGraph(n=n, edges=edges)
+
+
+class TestComponents:
+    def test_partition_matches_csgraph(self):
+        """The same partition as scipy's connected_components, each node
+        labelled by the smallest index of its component; with isolated nodes
+        and with no edges at all."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            n_edges = int(rng.integers(0, n + 1)) if rng.random() < 0.9 else 0
+            i, j = rng.integers(0, n, (2, n_edges))
+            i, j = i[i != j], j[i != j]
+            root = nl.core.components(n, i, j)
+            adj = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
+            _, label = connected_components(adj, directed=False)
+            assert np.array_equal(label[:, None] == label[None, :],
+                                  root[:, None] == root[None, :])
+            first = {lab: k for k, lab in reversed(list(enumerate(label)))}
+            assert np.array_equal(root, [first[lab] for lab in label])
+        assert np.array_equal(nl.core.components(4, np.zeros(0, int),
+                                                 np.zeros(0, int)), np.arange(4))
 
 
 class TestEvaluate:

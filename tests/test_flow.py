@@ -360,8 +360,11 @@ class TestDecayEnvelopes:
         f = np.array([1.0, 0.0, -1.0])
         lam1 = 0.9 * nl.rayleigh(F, f)  # any under-estimate works for upper
         tr = nl.run_flow(F, f, tau=0.05, max_steps=40, prox_tol=1e-12)
-        rep = nl.check_decay_envelopes(tr, F, 0.0 + 1e-12)
+        rep = nl.check_decay_envelopes(tr, F, lam1)
         assert rep["upper"]["worst"] >= -1e-8
+        # negative control: a rate above the flow's own breaks the envelope
+        rep = nl.check_decay_envelopes(tr, F, 1.5 * nl.rayleigh(F, f))
+        assert rep["upper"]["worst"] < 0.0
 
 
 class TestBandEigenScores:

@@ -312,6 +312,36 @@ class TestRestartedDualFista:
                 assert np.max(np.abs(sol.u - ub)) <= 1e-3
 
 
+class TestClusterRounding:
+    """The box kinds round u = f - div(psi) to the means of its clusters, so
+    the prox is exact once the dual iterates have found the jump set."""
+
+    def test_exact_at_ordinary_tolerance(self):
+        grids = [("graph_tv", nl.GridSpec(12, 10, boundary_mode="dirichlet")),
+                 ("graph_tv", nl.GridSpec(16, 16)),
+                 ("dirichlet_p", nl.GridSpec(33, boundary_mode="dirichlet"))]
+        for kind, spec in grids:
+            F = nl.make_functional(kind, nl.build_grid_graph(spec), p=1.0)
+            clamped = ~F.graph.interior_mask
+            for seed in range(3):
+                f = np.random.default_rng(seed).standard_normal(F.dim)
+                for sigma in (0.05, 0.3, 1.0):
+                    a = nl.prox(F, f, sigma, tol=1e-11)
+                    b = nl.prox(F, f, sigma, tol=1e-15, max_iter=400_000)
+                    assert a.converged and b.converged
+                    assert np.max(np.abs(a.u - b.u)) <= 1e-12
+                    assert not a.u[clamped].any() and not b.u[clamped].any()
+
+    def test_step_certified_exactly(self):
+        """The +-1 step on a Neumann path is a graph_tv eigenvector, and its
+        certificate reads exactly 0."""
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(64)))
+        w = np.where(np.arange(64) < 32, 1.0, -1.0)
+        lam = nl.rayleigh(F, w)
+        assert lam == 0.25
+        assert nl.eigen_certificate(F, w, lam).subgradient_gap == 0.0
+
+
 def pdirichlet_grid(p, boundary_mode="neumann", width=16, spacing=1.0):
     g = nl.build_grid_graph(nl.GridSpec(width=width, height=width, spacing=spacing,
                                         boundary_mode=boundary_mode))

@@ -65,7 +65,7 @@ def _floats(value):
 
 
 _FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
-                 "extinction_tol": float, "prox_tol": float}
+                 "prox_tol": float}
 # per command: the keyword arguments of its library call
 OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
            "power": {"restarts": _int, "c": float, "rule": str, "tol": float,
@@ -250,15 +250,14 @@ def write_eigen_csv(path, pairs):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["restart", "lambda", "mu", "sigma", "rayleigh", "residual",
-                     "euler_residual", "subgradient_gap", "collinearity",
-                     "oscillation", "converged"])
+                     "euler_residual", "subgradient_gap", "oscillation",
+                     "converged"])
         for idx, p in enumerate(pairs):
             c = p.certificate
             wr.writerow([idx, _fmt(p.lam), _fmt(p.mu), _fmt(p.sigma),
                          _fmt(p.rayleigh), _fmt(p.residual),
                          _fmt(c.euler_residual), _fmt(c.subgradient_gap),
-                         _fmt(c.collinearity), _fmt(p.oscillation),
-                         int(p.converged)])
+                         _fmt(p.oscillation), int(p.converged)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +324,10 @@ def cmd_run(args) -> int:
             [min(out["lambdas"]), max(out["lambdas"])]
         for (idx, err) in out["failures"]:
             manifest["warnings"].append(f"restart {idx} failed: {err}")
+        # the first column of eigen.csv ranks the pairs, not the restarts
+        manifest["warnings"].extend(
+            f"eigen.csv row {idx}: eigenpair not converged"
+            for idx, pair in enumerate(out["all"]) if not pair.converged)
     elif command == "oracle":
         spec = oracle_spectrum(F)
         with open(os.path.join(out_dir, "oracle.csv"), "w", newline="") as fh:

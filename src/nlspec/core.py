@@ -1,4 +1,4 @@
-"""Domain types and theorem-level diagnostics.
+"""Domain types and theorem-level diagnostics: what each functional is.
 
 Signals are plain float64 numpy arrays over graph nodes; all inner products
 carry the per-node measure m_i (default 1), i.e.
@@ -8,8 +8,8 @@ carry the per-node measure m_i (default 1), i.e.
 The functional catalog is p-homogeneous and convex; `evaluate_batch`
 dispatches on the handle kind and `evaluate` is its single-signal form.
 Diagnostics (Rayleigh quotient, Euler identity residual, minimal-norm
-subgradients) are pure functions of their inputs; the certificates that need
-a prox solve live in `prox`.
+subgradients) are pure functions of their inputs.  How each kind is
+minimized, and the certificates that need a prox solve, live in `prox`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
 
 GRAPH_KINDS = ("graph_tv", "dirichlet_p", "lipschitz_sup")
 VECTOR_KINDS = ("l1", "linf")
-ALL_KINDS = GRAPH_KINDS + VECTOR_KINDS + ("quadratic_form",)
 
 #: relative floor below which a deviation from the nullspace counts as zero
 NULLSPACE_FLOOR = 1e-13
@@ -182,11 +181,10 @@ class FunctionalHandle:
     """Descriptor of a p-homogeneous convex functional (equal only to itself)."""
 
     kind: str
-    degree: float
+    degree: float  # the homogeneity p, also the exponent of dirichlet_p
     measure: np.ndarray  # node measure m_i of every inner product
     graph: Optional[WeightedGraph] = None
     matrix: Optional[np.ndarray] = None
-    p: Optional[float] = None
     # spectral data of quadratic forms, filled at construction
     _quad_eigvals: Optional[np.ndarray] = field(default=None, repr=False)
     _quad_eigvecs: Optional[np.ndarray] = field(default=None, repr=False)
@@ -244,7 +242,7 @@ def evaluate_batch(F: FunctionalHandle, U: np.ndarray) -> np.ndarray:
     if F.kind == "graph_tv":
         return np.sum(w * D, axis=-1)
     if F.kind == "dirichlet_p":
-        return np.sum(w * D ** F.p, axis=-1) / F.p
+        return np.sum(w * D ** F.degree, axis=-1) / F.degree
     if F.kind == "lipschitz_sup":
         return np.max(w * D, axis=-1) if len(w) else np.zeros(U.shape[:-1])
     raise UnsupportedFunctional(F.kind)
@@ -290,43 +288,6 @@ def euler_residual(F: FunctionalHandle, u, zeta) -> float:
     u = _check(F, u)
     zeta = _check(F, zeta)
     return abs(F.degree * evaluate(F, u) - inner(zeta, u, F.measure))
-
-
-def dual_flow_prox(F: FunctionalHandle, sigma: float):
-    """The edge-flow side of the prox dual of sigma*J on a graph,
-    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a triple:
-
-    - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
-      `prox._prox_dual_fista` applies after each gradient step: the projection
-      onto the box |psi_e| <= sigma*w_e (graph_tv, dirichlet_p with p = 1),
-      onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), or for dirichlet_p
-      with 1 < p < 2 `edgecalc.prox_power_conjugate` with
-      h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
-    - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
-      subtracts: 0 for the indicators;
-    - the box radii sigma*w for the box kinds, else None: an edge strictly
-      inside its box joins two nodes on which the exact prox is equal.
-
-    The edgecalc maps, and L, are looked up at call time, so a caller that
-    only needs h* never computes L.
-    """
-    w = F.graph.edge_arrays[2]
-    if F.kind == "lipschitz_sup":
-        inv_w, ones = 1.0 / w, np.ones_like(w)
-        return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
-                _zero_conjugate, None)
-    a = sigma * w
-    if F.kind == "dirichlet_p" and F.p > 1.0:
-        q, graph = F.p / (F.p - 1.0), F.graph
-        return (lambda psi: edgecalc.prox_power_conjugate(
-                    psi, a, graph.grad_div_opnorm, q),
-                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None)
-    lower = -a
-    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate, a
-
-
-def _zero_conjugate(psi):
-    return 0.0
 
 
 def min_norm_subgradient(F: FunctionalHandle, u) -> np.ndarray:

@@ -33,6 +33,9 @@ from .errors import BadStep, UnsupportedFunctional
 from .prox import (EigenCertificate, eigen_certificate, prox,
                    prox_nonvanishing_bound)
 
+#: relative distance to u_inf at which the flow counts as extinct
+EXTINCTION_TOL = 1e-8
+
 
 @dataclass
 class FlowTrace:
@@ -81,8 +84,7 @@ def default_step_size(F: FunctionalHandle, f) -> float:
 
 
 def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
-             time_horizon: float = None, extinction_tol: float = 1e-8,
-             prox_tol: float = 1e-11) -> FlowTrace:
+             time_horizon: float = None, prox_tol: float = 1e-11) -> FlowTrace:
     if tau is not None and not tau > 0:
         raise BadStep("step size must be positive")
     check_count("max_steps", max_steps)
@@ -90,7 +92,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
     m = F.measure
     u_inf = project_nullspace(F, f)
     dist0 = norm(f - u_inf, m)
-    floor = max(extinction_tol * dist0, 1e-300)
+    floor = max(EXTINCTION_TOL * dist0, 1e-300)
 
     us, taus, Js, dists = [f.copy()], [0.0], [evaluate(F, f)], [dist0]
     warnings, gap_total, extinction_index = [], 0.0, None
@@ -203,7 +205,7 @@ def check_decay_envelopes(trace: FlowTrace, F: FunctionalHandle,
     p, t, lam, lam1 = trace.degree, trace.t, trace.Lambda, lambda1_estimate
     dist = trace.dist
     floor = _distance_floor(trace)
-    pre = dist > max(floor, 1e-8 * dist[0])
+    pre = dist > max(floor, EXTINCTION_TOL * dist[0])
     phi = _decay_primitive(dist, p)
     slacks = {}
     with np.errstate(invalid="ignore"):
@@ -231,7 +233,7 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
         z = trace.zetas[k]
         nz = norm(z, m)
         if nz <= 1e-14:
-            certs.append(EigenCertificate(0.0, 0.0, 0.0))
+            certs.append(EigenCertificate(0.0, 0.0))
             continue
         certs.append(eigen_certificate(F, z, nz))
     Z = np.reshape(trace.zetas[1:], (-1, F.dim))

@@ -75,15 +75,13 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
     if kind in GRAPH_KINDS:
         if graph is None:
             raise BadParams(f"{kind} requires a graph")
+        degree = 1.0
         if kind == "dirichlet_p":
             if p is None or not 1 <= p < np.inf:
                 raise BadParams(f"dirichlet_p requires finite p >= 1, got {p}")
             degree = float(p)
-        else:
-            p = None
-            degree = 1.0
         return FunctionalHandle(kind=kind, degree=degree,
-                                measure=graph.node_measure, graph=graph, p=p)
+                                measure=graph.node_measure, graph=graph)
 
     if kind in ("l1", "linf"):
         if graph is not None:

@@ -4,21 +4,17 @@ answer.
 prox_{sigma J}(f) = argmin 0.5*||u - f||^2_m + sigma*J(u), with a certified
 optimality gap per call and a brute-force oracle for cross-checking.
 
-Methods by kind:
+Routes by kind and degree, chosen only here (`_solve`, and `_edge_dual` for
+the edgewise maps):
   quadratic_form   exact spectral filter in the stored eigenbasis
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact sort-based projection onto the scaled dual l1 ball
-  graph_tv         FISTA with adaptive restart on the dual edge-flow
-                   problem, box constraint (also dirichlet_p with p = 1);
-                   the primal is also tried rounded to the means of the
-                   clusters the unsaturated edges join, once the gap is at
-                   sqrt(tol) and again after each tenfold fall
-  lipschitz_sup    FISTA with adaptive restart on the dual, weighted-l1
-                   coupling of edge flows
-  dirichlet_p      the same dual kernel for 1 < p < 2, with the edgewise prox
-                   of the conjugate sigma*w*|psi/(sigma*w)|^q/q, q = p/(p-1),
-                   in place of a projection; L-BFGS on the (smooth) primal
-                   for p >= 2.  Both certify with one Fenchel gap.
+  dirichlet_p      L-BFGS on the (smooth) primal for p >= 2
+  other graph      FISTA with adaptive restart on the dual edge-flow problem,
+  kinds            with an edgewise map after each step: the box at degree 1,
+                   whose primal is also rounded to its clusters; the prox of
+                   the power conjugate for 1 < p < 2; the weighted-l1 ball for
+                   lipschitz_sup.  Both routes certify with one Fenchel gap.
 
 The same solver answers the dual questions for every kind:
 `dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
@@ -36,11 +32,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import edgecalc
-from .core import (FunctionalHandle, as_signal, check_count, clamp_boundary,
-                   components, dual_flow_prox, euler_residual, evaluate,
+from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
+                   clamp_boundary, components, euler_residual, evaluate,
                    evaluate_batch, inner, norm, project_nullspace)
 from .errors import (BadStep, DimensionTooLarge, NullspaceElement,
                      UnsupportedFunctional, ZeroSignal)
+
+#: iteration cap of every prox solve, the certificate solves' included
+MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class ProxSolution:
 
 
 def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
-         max_iter: int = 50000) -> ProxSolution:
+         max_iter: int = MAX_ITER) -> ProxSolution:
     if not sigma > 0:
         raise BadStep(f"prox step must be positive, got {sigma}")
     if not tol > 0:
@@ -79,12 +78,11 @@ def _solve(F, f, sigma, tol, max_iter):
     if F.kind == "linf":
         m = F.measure
         return f - edgecalc.project_weighted_l1(f, m, m, sigma), 0, 0.0, True
-    if F.kind in ("graph_tv", "lipschitz_sup") or (
-            F.kind == "dirichlet_p" and F.p < 2.0):
-        return _prox_dual_fista(F, f, sigma, tol, max_iter)
-    if F.kind == "dirichlet_p":
+    if F.kind not in GRAPH_KINDS:
+        raise UnsupportedFunctional(F.kind)
+    if F.kind == "dirichlet_p" and F.degree >= 2.0:
         return _prox_dirichlet_smooth(F, f, sigma, tol, max_iter)
-    raise UnsupportedFunctional(F.kind)
+    return _prox_dual_fista(F, f, sigma, tol, max_iter)
 
 
 def _prox_quadratic(F, f, sigma, tol):
@@ -101,9 +99,46 @@ def _prox_quadratic(F, f, sigma, tol):
     return u, 0, gap, gap <= tol * (1.0 + abs(pval))
 
 
+def _edge_dual(F, sigma):
+    """The edge-flow side of the prox dual of sigma*J on a graph,
+    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a triple:
+
+    - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
+      `_prox_dual_fista` applies after each gradient step: the projection
+      onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), onto the box
+      |psi_e| <= sigma*w_e (degree 1), or for degree p > 1
+      `edgecalc.prox_power_conjugate` with
+      h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
+    - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
+      subtracts: 0 for the indicators;
+    - the box radii sigma*w for the box kinds, else None: an edge strictly
+      inside its box joins two nodes on which the exact prox is equal.
+
+    The edgecalc maps, and L, are looked up at call time, so a caller that
+    only needs h* never computes L.
+    """
+    w = F.graph.edge_arrays[2]
+    if F.kind == "lipschitz_sup":
+        inv_w, ones = 1.0 / w, np.ones_like(w)
+        return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
+                _zero_conjugate, None)
+    a = sigma * w
+    if F.degree > 1.0:
+        q, graph = F.degree / (F.degree - 1.0), F.graph
+        return (lambda psi: edgecalc.prox_power_conjugate(
+                    psi, a, graph.grad_div_opnorm, q),
+                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None)
+    lower = -a
+    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate, a
+
+
+def _zero_conjugate(psi):
+    return 0.0
+
+
 def _fenchel_gap(F, f, sigma, u, d, hstar):
     """P(u) and the gap P(u) - D(psi) of the graph prox and its dual, from
-    d = div(psi) and hstar = sum_e h*_e(psi_e) (`core.dual_flow_prox`):
+    d = div(psi) and hstar = sum_e h*_e(psi_e) (`_edge_dual`):
 
         P(u)   = 0.5*||u - f||^2_m + sigma*J(u)
         D(psi) = <f, d>_m - 0.5*||d||^2_m - h*(psi)
@@ -116,7 +151,7 @@ def _fenchel_gap(F, f, sigma, u, d, hstar):
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
     """FISTA (Beck & Teboulle 2009) on min_psi 0.5*||div(psi) - f||^2_m +
-    sum_e h*_e(psi_e), with the edgewise prox of h*/L (`core.dual_flow_prox`)
+    sum_e h*_e(psi_e), with the edgewise prox of h*/L (`_edge_dual`)
     after each gradient step of 1/L, L = graph.grad_div_opnorm >= the norm of
     edge_diff o edge_div.  The momentum restarts when it points against the
     step (O'Donoghue & Candes, FoCM 2015); every fifth iterate is tested by
@@ -134,7 +169,7 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     """
     graph = F.graph
     i_idx, j_idx, _ = graph.edge_arrays
-    project, conjugate, box = dual_flow_prox(F, sigma)
+    project, conjugate, box = _edge_dual(F, sigma)
     next_round = math.sqrt(tol) if box is not None else -math.inf
 
     def primal_gap(psi):
@@ -202,8 +237,8 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     graph = F.graph
     i_idx, j_idx, w = graph.edge_arrays
     m = graph.node_measure
-    p = F.p
-    _, conjugate, _ = dual_flow_prox(F, sigma)
+    p = F.degree
+    _, conjugate, _ = _edge_dual(F, sigma)
 
     def div_flow(u):
         # the flow sigma*w*|du|^(p-1)*sign(du) that is the gradient of
@@ -276,8 +311,8 @@ def prox_nonvanishing_bound(F: FunctionalHandle, f) -> float:
     return norm(g, F.measure) ** 2 / jf
 
 
-#: tolerance and iteration cap of the certificate solves
-_CERT_TOL, _CERT_MAX_ITER = 1e-12, 50000
+#: tolerance of the certificate solves
+_CERT_TOL = 1e-12
 
 
 def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
@@ -287,7 +322,7 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     if F.degree != 1:
         raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
     zeta = clamp_boundary(F, as_signal(zeta, F.dim))
-    u = _solve(F, zeta, 1.0, _CERT_TOL, _CERT_MAX_ITER)[0]
+    u = _solve(F, zeta, 1.0, _CERT_TOL, MAX_ITER)[0]
     return norm(u, F.measure) <= tol * (1.0 + norm(zeta, F.measure))
 
 
@@ -303,11 +338,10 @@ class EigenCertificate:
 
     euler_residual: float
     subgradient_gap: float
-    collinearity: float
 
     @property
     def max_residual(self) -> float:
-        return max(self.euler_residual, self.subgradient_gap, self.collinearity)
+        return max(self.euler_residual, self.subgradient_gap)
 
 
 def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
@@ -319,8 +353,5 @@ def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
     zeta = lam * nw ** (F.degree - 2.0) * w
     sigma = 1.0 / lam if lam > 0 else 1.0
     u = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma, _CERT_TOL,
-               _CERT_MAX_ITER)[0]
-    nz = norm(zeta, m)
-    coll = max(0.0, 1.0 - inner(zeta, w, m) / (nz * nw)) if nz > 0 else 0.0
-    return EigenCertificate(euler_residual(F, w, zeta),
-                            norm(u - w, m) / sigma, coll)
+               MAX_ITER)[0]
+    return EigenCertificate(euler_residual(F, w, zeta), norm(u - w, m) / sigma)

@@ -94,6 +94,8 @@ MALFORMED = {
     "env_seed": ({}, {"NLSPEC_SEED": "x"}, "NLSPEC_SEED"),  # ValueError
     "store_iterates": ({"options": {"store_iterates": "no"}}, {},
                        "'store_iterates'"),  # not an option
+    "extinction_tol": ({"options": {"extinction_tol": 1e-3}}, {},
+                       "'extinction_tol'"),  # not an option
     "foreign_option": ({"command": "power", "options": {"tau": 0.1}}, {},
                        "'tau'"),  # ignored
     "no_functional": ({"functional": MISSING}, {}, "'functional'"),
@@ -325,6 +327,23 @@ class TestStrict:
         assert len(manifest["warnings"]) == 12
         assert "prox not converged at tau=0.00625" in manifest["warnings"][3]
         assert manifest["resolved"]["tau"] == 0.00625
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_unconverged_eigenpairs(self, tmp_path, strict):
+        """Two power iterations leave both pairs unconverged; each is one
+        warning naming its row of eigen.csv."""
+        out = tmp_path / "out"
+        cfg = {"functional": {"kind": "graph_tv"},
+               "domain": {"grid": {"width": 8}}, "command": "power",
+               "options": {"restarts": 2, "max_iter": 2},
+               "output_dir": str(out), "seed": 0}
+        argv = ["run", write_config(tmp_path / "c.yaml", cfg)]
+        assert cli.main(argv + ["--strict"] * strict) == int(strict)
+        with open(out / "eigen.csv") as fh:
+            assert [r["converged"] for r in csv.DictReader(fh)] == ["0", "0"]
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["warnings"] == [
+            f"eigen.csv row {k}: eigenpair not converged" for k in (0, 1)]
 
 
 class TestFlagOrder:

@@ -376,21 +376,52 @@ class TestPDirichletDual:
         assert sol.converged and np.isfinite(sol.gap)
 
     def test_route_by_p(self, monkeypatch):
+        """Each graph kind takes one route, by kind and degree: L-BFGS, or
+        the dual kernel with one edgewise map; an unknown kind has none."""
         calls = []
-        minimize = prox_module.minimize
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+        def counted(module, name):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(prox_module, "minimize", counted)
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(prox_module, "minimize")
+        for name in ("project_box", "prox_power_conjugate",
+                     "project_weighted_l1"):
+            counted(edgecalc, name)
+        g = pdirichlet_grid(1.5, width=4).graph
         f = np.random.default_rng(3).standard_normal(16)
-        for p, lbfgs in ((1.05, False), (1.5, False), (1.99, False),
-                         (2.0, True), (3.0, True)):
-            F = pdirichlet_grid(p, width=4)
+        for kind, p, route in (
+                ("graph_tv", None, "project_box"),
+                ("dirichlet_p", 1.0, "project_box"),
+                ("dirichlet_p", 1.05, "prox_power_conjugate"),
+                ("dirichlet_p", 1.5, "prox_power_conjugate"),
+                ("dirichlet_p", 1.99, "prox_power_conjugate"),
+                ("dirichlet_p", 2.0, "minimize"),
+                ("dirichlet_p", 3.0, "minimize"),
+                ("lipschitz_sup", None, "project_weighted_l1")):
+            F = nl.make_functional(kind, g, p=p)
             del calls[:]
             assert nl.prox(F, f, 0.3, tol=1e-12).converged
-            assert bool(calls) == lbfgs, p
+            assert set(calls) == {route}, (kind, p)
+        F = nl.FunctionalHandle(kind="no_such_kind", degree=1.0,
+                                measure=g.node_measure, graph=g)
+        with pytest.raises(errors.UnsupportedFunctional):
+            nl.prox(F, f, 0.3)
+
+    def test_p_one_is_graph_tv(self):
+        """dirichlet_p at p = 1 is graph_tv, solved bit for bit alike."""
+        for spec in (nl.GridSpec(12, 10, boundary_mode="dirichlet"),
+                     nl.GridSpec(33)):
+            g = nl.build_grid_graph(spec)
+            f = np.random.default_rng(4).standard_normal(g.n)
+            a = nl.prox(nl.make_functional("graph_tv", g), f, 0.3)
+            b = nl.prox(nl.make_functional("dirichlet_p", g, p=1.0), f, 0.3)
+            assert (a.u == b.u).all() and a.iterations == b.iterations
+            assert a.gap == b.gap and a.converged
 
 
 class TestQuadraticProx:

@@ -249,7 +249,7 @@ def write_signal(dirpath, name, values, grid_spec, manifest):
 def write_eigen_csv(path, pairs):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["restart", "lambda", "mu", "sigma", "rayleigh", "residual",
+        wr.writerow(["rank", "lambda", "mu", "sigma", "rayleigh", "residual",
                      "euler_residual", "subgradient_gap", "oscillation",
                      "converged"])
         for idx, p in enumerate(pairs):
@@ -324,7 +324,6 @@ def cmd_run(args) -> int:
             [min(out["lambdas"]), max(out["lambdas"])]
         for (idx, err) in out["failures"]:
             manifest["warnings"].append(f"restart {idx} failed: {err}")
-        # the first column of eigen.csv ranks the pairs, not the restarts
         manifest["warnings"].extend(
             f"eigen.csv row {idx}: eigenpair not converged"
             for idx, pair in enumerate(out["all"]) if not pair.converged)

@@ -32,7 +32,8 @@ from .errors import (
 GRAPH_KINDS = ("graph_tv", "dirichlet_p", "lipschitz_sup")
 VECTOR_KINDS = ("l1", "linf")
 
-#: relative floor below which a deviation from the nullspace counts as zero
+#: absolute floor, times sqrt(dim), below which a deviation from the
+#: nullspace counts as zero
 NULLSPACE_FLOOR = 1e-13
 
 

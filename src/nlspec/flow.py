@@ -30,8 +30,7 @@ from .core import (
     project_nullspace,
 )
 from .errors import BadStep, UnsupportedFunctional
-from .prox import (EigenCertificate, eigen_certificate, prox,
-                   prox_nonvanishing_bound)
+from .prox import eigen_certificate, prox, prox_nonvanishing_bound
 
 #: relative distance to u_inf at which the flow counts as extinct
 EXTINCTION_TOL = 1e-8
@@ -41,12 +40,11 @@ EXTINCTION_TOL = 1e-8
 class FlowTrace:
     us: list               # iterates u_0 = f, u_1, ..., u_K
     u_infinity: np.ndarray
-    degree: float
     t: np.ndarray          # accumulated time, t[0] = 0
     tau: np.ndarray        # tau[k] = step producing u_k, tau[0] = 0
     J: np.ndarray
     dist: np.ndarray       # ||u_k - u_inf||_m
-    Lambda: np.ndarray     # p*J_k / dist_k^p, NaN below the distance floor
+    Lambda: np.ndarray     # p*J_k / dist_k^p, NaN at or below the extinction floor
     zeta_norm: np.ndarray
     profile_residual: np.ndarray  # ||zeta_k/dist_k^{p-1} - Lambda_k w_k||, NaN at k=0
     extinction_index: Optional[int] = None
@@ -92,13 +90,13 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
     m = F.measure
     u_inf = project_nullspace(F, f)
     dist0 = norm(f - u_inf, m)
-    floor = max(EXTINCTION_TOL * dist0, 1e-300)
+    floor = EXTINCTION_TOL * dist0
 
     us, taus, Js, dists = [f.copy()], [0.0], [evaluate(F, f)], [dist0]
     warnings, gap_total, extinction_index = [], 0.0, None
 
     if dist0 <= NULLSPACE_FLOOR * math.sqrt(F.dim):
-        extinction_index = 0
+        extinction_index, floor = 0, dist0  # f is u_inf up to rounding
     else:
         if tau is None:
             tau = default_step_size(F, f)
@@ -137,7 +135,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
         prof.append(norm(zeta / dv ** (p - 1.0) - lv * ((u - u_inf) / dv), m)
                     if dv > floor else math.nan)
     return FlowTrace(
-        us=us, u_infinity=u_inf, degree=p,
+        us=us, u_infinity=u_inf,
         t=np.cumsum(taus), tau=np.array(taus), J=np.array(Js),
         dist=np.array(dists), Lambda=np.array(lams), zeta_norm=np.array(znorms),
         profile_residual=np.array(prof), extinction_index=extinction_index,
@@ -151,11 +149,6 @@ def _decay_primitive(d, p):
         if p == 2:
             return np.log(d)
         return np.power(d, 2.0 - p) / (2.0 - p)
-
-
-def _distance_floor(trace: FlowTrace) -> float:
-    """Distances at or below this are rounding noise around u_inf."""
-    return 1e-13 * (trace.dist[0] + 1.0)
 
 
 def decompose(trace: FlowTrace):
@@ -176,7 +169,7 @@ def decompose(trace: FlowTrace):
 def extinction_report(trace: FlowTrace, F: FunctionalHandle,
                       lambda1_estimate: float = None):
     """Measured extinction time plus the theoretical upper/lower bounds."""
-    p, k_ext = trace.degree, trace.extinction_index
+    p, k_ext = F.degree, trace.extinction_index
     measured = None if k_ext is None else float(trace.t[k_ext])
     upper = None  # T <= Phi_p(dist_0)/lambda_1 wherever Phi_p(0) = 0 is finite
     if lambda1_estimate is not None and lambda1_estimate > 0 \
@@ -186,13 +179,12 @@ def extinction_report(trace: FlowTrace, F: FunctionalHandle,
     if p == 1:
         # <g, v>/J(v) <= ||g||_* <= T for every v with J(v) > 0, as
         # g = sum_k tau_k zeta_k with every zeta_k in the dual ball; the
-        # flow's own iterates v = u_k - u_inf are the candidates
-        g = trace.f - trace.u_infinity
-        for u in trace.us:
-            v = u - trace.u_infinity
-            jv = evaluate(F, v)
-            if jv > 1e-14:
-                lower = max(lower, inner(g, v, F.measure) / jv)
+        # candidates are the flow's own iterates v = u_k - u_inf above the
+        # extinction floor, with J(v) = J(u_k) as u_inf lies in N_J
+        g, u_inf = trace.f - trace.u_infinity, trace.u_infinity
+        lower = float(max((inner(g, u - u_inf, F.measure) / jv
+                           for u, jv, lv in zip(trace.us, trace.J, trace.Lambda)
+                           if not math.isnan(lv)), default=0.0))
     return {"measured": measured, "upper": upper, "lower": lower}
 
 
@@ -201,16 +193,15 @@ def check_decay_envelopes(trace: FlowTrace, F: FunctionalHandle,
     """Signed slack (>= 0 means satisfied) of every applicable decay envelope,
     in units of Phi_p (`_decay_primitive`).  Along the flow Phi_p(dist) falls
     at rate Lambda, which is at least lambda_1 and at most Lambda_k after
-    step k; "worst" is the minimum over the distances above the floor."""
-    p, t, lam, lam1 = trace.degree, trace.t, trace.Lambda, lambda1_estimate
-    dist = trace.dist
-    floor = _distance_floor(trace)
-    pre = dist > max(floor, EXTINCTION_TOL * dist[0])
-    phi = _decay_primitive(dist, p)
+    step k; "worst" is the minimum over the steps above the extinction floor,
+    those with a Rayleigh value."""
+    p, t, lam, lam1 = F.degree, trace.t, trace.Lambda, lambda1_estimate
+    pre = ~np.isnan(lam)
+    phi = _decay_primitive(trace.dist, p)
     slacks = {}
     with np.errstate(invalid="ignore"):
         slacks["upper"] = (phi[0] - lam1 * t - phi, pre)
-        if len(t) > 1 and dist[1] > floor and not math.isnan(lam[1]):
+        if len(t) > 1 and pre[1]:
             slacks["lower"] = (phi - phi[1] + lam[1] * (t - t[1]), pre & (t >= t[1]))
         if trace.extinction_index is not None and np.isfinite(_decay_primitive(0.0, p)):
             T = t[trace.extinction_index]
@@ -228,14 +219,7 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
     if F.degree != 1:
         raise UnsupportedFunctional("band scores only defined for degree-1 functionals")
     m = F.measure
-    certs = []
-    for k in range(1, len(trace.zetas)):
-        z = trace.zetas[k]
-        nz = norm(z, m)
-        if nz <= 1e-14:
-            certs.append(EigenCertificate(0.0, 0.0))
-            continue
-        certs.append(eigen_certificate(F, z, nz))
+    certs = [eigen_certificate(F, z, norm(z, m)) for z in trace.zetas[1:]]
     Z = np.reshape(trace.zetas[1:], (-1, F.dim))
     G = (Z * m) @ Z.T  # G[t, s] = <zeta_t, zeta_s>
     # for each t, the worst pair r <= s <= t spans the range of G[t, :t+1]
@@ -247,15 +231,15 @@ def band_eigen_scores(trace: FlowTrace, F: FunctionalHandle):
 def profile_convergence(trace: FlowTrace):
     """Last normalized profile, its Rayleigh value, and the residual history
     driven to zero (along a subsequence) as the flow approaches extinction."""
-    floor = _distance_floor(trace)
-    # the last step above the distance floor with a Rayleigh value, else 0
-    idx = next((k for k in range(trace.n_steps, 0, -1) if trace.dist[k] > floor
-                and not math.isnan(trace.Lambda[k])), 0)
-    u_k = trace.us[idx]
-    d = trace.dist[idx]
-    w_last = (u_k - trace.u_infinity) / d if d > 0 else np.zeros_like(u_k)
+    # the last step above the extinction floor, else 0 with a zero profile
+    # when even f is at the floor
+    idx = next((k for k in range(trace.n_steps, 0, -1)
+                if not math.isnan(trace.Lambda[k])), 0)
+    u_k, lam = trace.us[idx], trace.Lambda[idx]
+    w_last = np.zeros_like(u_k) if math.isnan(lam) \
+        else (u_k - trace.u_infinity) / trace.dist[idx]
     return {
         "w_last": w_last,
-        "lambda_last": float(trace.Lambda[idx]),
+        "lambda_last": float(lam),
         "profile_residual_history": trace.profile_residual,
     }

@@ -586,10 +586,11 @@ def check_profile_ode():
 
 @check("cli.float_roundtrip")
 def check_float_roundtrip():
+    from .cli import _fmt  # imported here, as cli imports this module
     rng = np.random.default_rng(71)
     xs = np.concatenate([rng.standard_normal(50),
                          10.0 ** rng.uniform(-300, 300, 20)])
-    bad = sum(1 for x in xs if float(f"{x:.17g}") != x)
+    bad = sum(1 for x in xs if float(_fmt(x)) != x)
     return bad == 0, f"{bad} non-roundtrip values"
 
 

@@ -346,6 +346,48 @@ class TestStrict:
             f"eigen.csv row {k}: eigenpair not converged" for k in (0, 1)]
 
 
+class TestFailedRestarts:
+    """A power start that raises a library error is a manifest warning
+    naming its start index; when every start fails, the first start's error
+    is the run's one error line."""
+
+    def power_config(self, tmp_path):
+        cfg = {"functional": {"kind": "graph_tv"},
+               "domain": {"grid": {"width": 8}}, "command": "power",
+               "options": {"restarts": 3},
+               "output_dir": str(tmp_path / "out"), "seed": 0}
+        return write_config(tmp_path / "c.yaml", cfg)
+
+    def fail_starts(self, monkeypatch, failing):
+        power_method, calls = cli.power.power_method, []
+
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            if len(calls) - 1 in failing:
+                raise nl.errors.DegenerateEnergy(f"start {len(calls) - 1} vanished")
+            return power_method(*args, **kwargs)
+
+        monkeypatch.setattr(cli.power, "power_method", wrapped)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_one_failed_restart_is_a_warning(self, tmp_path, monkeypatch,
+                                             strict):
+        self.fail_starts(monkeypatch, {1})
+        argv = ["run", self.power_config(tmp_path)] + ["--strict"] * strict
+        assert cli.main(argv) == int(strict)
+        out = tmp_path / "out"
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["warnings"] == ["restart 1 failed: start 1 vanished"]
+        with open(out / "eigen.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+
+    def test_every_restart_failed_is_one_error_line(self, tmp_path,
+                                                    monkeypatch, capsys):
+        self.fail_starts(monkeypatch, {0, 1, 2})
+        assert cli.main(["run", self.power_config(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: start 0 vanished\n"
+
+
 class TestFlagOrder:
     @pytest.mark.parametrize("after_run", [True, False])
     def test_run_flags_either_side_of_run(self, tmp_path, after_run):
@@ -539,3 +581,12 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "a.passes" in out and "b.fails" in out
         assert "1/2 checks passed" in out
+
+    def test_float_roundtrip_checks_the_cli_format(self, monkeypatch, capsys):
+        """The check round-trips through the format the artifacts use: at 15
+        significant digits it fails."""
+        argv = ["validate", "--filter", "cli.float_roundtrip"]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "FMT", "%.15g")
+        assert cli.main(argv) == 2
+        assert "non-roundtrip values" in capsys.readouterr().out

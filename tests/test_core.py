@@ -7,10 +7,7 @@ from scipy.sparse.csgraph import connected_components
 import nlspec as nl
 from nlspec import errors
 
-
-def path_graph(n, w=1.0, measure=None):
-    edges = tuple((i, i + 1, w) for i in range(n - 1))
-    return nl.WeightedGraph(n=n, edges=edges, node_measure=measure)
+from graphs import path_graph
 
 
 class TestWeightedGraph:

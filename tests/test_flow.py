@@ -8,12 +8,9 @@ import pytest
 
 import nlspec as nl
 
+from graphs import path_graph
+
 flow_module = importlib.import_module("nlspec.flow")
-
-
-def path_graph(n, w=1.0, measure=None):
-    edges = tuple((i, i + 1, w) for i in range(n - 1))
-    return nl.WeightedGraph(n=n, edges=edges, node_measure=measure)
 
 
 def two_node_tv():
@@ -275,10 +272,10 @@ class TestExtinctionReport:
         nl.band_eigen_scores(tr, F)
 
 
-def three_regime_slacks(tr, lam1):
+def three_regime_slacks(tr, p, lam1):
     """The decay envelopes written per p-regime in powers of the distance
     (exponentials at p = 2): the reference for the slacks in Phi_p units."""
-    p, t, dist, L = tr.degree, tr.t, tr.dist, tr.Lambda
+    t, dist, L = tr.t, tr.dist, tr.Lambda
     d0, d1, t1, L1 = dist[0], dist[1], t[1], L[1]
     if p < 2:
         out = {"upper": d0 ** (2 - p) - (2 - p) * lam1 * t - dist ** (2 - p),
@@ -314,7 +311,7 @@ class TestDecayEnvelopes:
         assert (tr.extinction_index is not None) == (p < 2)
         for lam1 in (0.5 * nl.rayleigh(F, f), 2.0 * nl.rayleigh(F, f)):
             rep = nl.check_decay_envelopes(tr, F, lam1)
-            ref = three_regime_slacks(tr, lam1)
+            ref = three_regime_slacks(tr, p, lam1)
             assert set(rep) == set(ref)
             for name, slack in ref.items():
                 assert np.array_equal(np.sign(rep[name]["slack"]), np.sign(slack),
@@ -446,3 +443,53 @@ class TestProfileConvergence:
         v1 = spec.eigenvectors[:, 1]
         cos = abs(pc["w_last"] @ v1) / np.linalg.norm(v1)
         assert cos >= 0.999
+
+
+class TestExtinctionFloor:
+    """Lambda is NaN exactly on the steps at or below run_flow's extinction
+    floor, and every diagnostic reads that one floor."""
+
+    @pytest.mark.parametrize("measure", [None, np.array([0.3, 0.7, 1.1])])
+    def test_rounding_off_the_nullspace_has_no_rayleigh_value(self, measure):
+        F = nl.make_functional("graph_tv", path_graph(3, measure=measure))
+        tr = nl.run_flow(F, np.full(3, 0.1))
+        assert 0.0 < tr.dist[0] < 1e-15 and tr.J[0] == 0.0
+        assert tr.extinction_index == 0 and math.isnan(tr.Lambda[0])
+        assert nl.extinction_report(tr, F)["lower"] == 0.0
+        rep = nl.check_decay_envelopes(tr, F, 1.0)
+        assert all(math.isnan(r["worst"]) for r in rep.values())
+        pc = nl.profile_convergence(tr)
+        assert math.isnan(pc["lambda_last"]) and not pc["w_last"].any()
+
+    @pytest.mark.parametrize("kind, graph, p", [
+        ("graph_tv", path_graph(64), None),
+        ("graph_tv", nl.build_grid_graph(nl.GridSpec(width=16, height=16)), None),
+        ("dirichlet_p", path_graph(12), 1.5),
+    ], ids=["tv_path64", "tv_grid16x16", "p1.5_path12"])
+    def test_diagnostics_are_scale_free(self, kind, graph, p):
+        """The flow from s*f is s times the flow from f, on times scaled by
+        s^(2-p), when the prox tolerance scales with the prox objective:
+        Rayleigh values stay, the p = 1 lower bound scales by s and the
+        slacks, in Phi_p units, by s^(2-p)."""
+        F = nl.make_functional(kind, graph, p=p)
+        p = F.degree
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        lam1 = 0.5 * nl.rayleigh(F, f)
+
+        def diagnostics(s):
+            tr = nl.run_flow(F, s * f, prox_tol=1e-11 * s * s)
+            env = nl.check_decay_envelopes(tr, F, lam1)
+            return (nl.profile_convergence(tr)["lambda_last"],
+                    nl.extinction_report(tr, F)["lower"],
+                    {name: r["worst"] for name, r in env.items()})
+
+        lam_last, lower, worst = diagnostics(1.0)
+        assert lower > 0.0 if p == 1 else lower == 0.0
+        for s in (1e-7, 1e-12):
+            lam_s, lower_s, worst_s = diagnostics(s)
+            assert lam_s == pytest.approx(lam_last, rel=1e-8)
+            assert lower_s == pytest.approx(s * lower, rel=1e-8, abs=0.0)
+            assert set(worst_s) == set(worst)
+            for name, w in worst.items():
+                assert worst_s[name] == pytest.approx(
+                    s ** (2 - p) * w, rel=1e-8, abs=0.0), name

@@ -8,10 +8,7 @@ import pytest
 import nlspec as nl
 from nlspec import errors
 
-
-def path_graph(n, w=1.0, measure=None):
-    edges = tuple((i, i + 1, w) for i in range(n - 1))
-    return nl.WeightedGraph(n=n, edges=edges, node_measure=measure)
+from graphs import path_graph
 
 
 class TestPowerMethod:
@@ -210,6 +207,20 @@ class TestGroundStateSearch:
         first_call_raises(TypeError("bug"))
         with pytest.raises(TypeError, match="bug"):
             nl.ground_state_search(F, restarts=2, seed=3)
+
+    def test_every_start_failing_raises_the_first_error(self, monkeypatch):
+        power_module = importlib.import_module("nlspec.power")
+        calls = []
+
+        def always_raises(*args, **kwargs):
+            calls.append(None)
+            raise errors.DegenerateEnergy(f"start {len(calls) - 1} vanished")
+
+        monkeypatch.setattr(power_module, "power_method", always_raises)
+        F = nl.make_functional("graph_tv", path_graph(5))
+        with pytest.raises(errors.DegenerateEnergy, match="^start 0 vanished$"):
+            nl.ground_state_search(F, restarts=3, seed=3)
+        assert len(calls) == 3
 
     def test_restarts_validation(self):
         F = nl.make_functional("l1", n=2)

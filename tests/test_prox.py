@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 import nlspec as nl
 from nlspec import edgecalc, errors
 
+from graphs import path_graph
+
 prox_module = importlib.import_module("nlspec.prox")
-
-
-def path_graph(n, w=1.0, measure=None):
-    edges = tuple((i, i + 1, w) for i in range(n - 1))
-    return nl.WeightedGraph(n=n, edges=edges, node_measure=measure)
 
 
 def catalog3():
@@ -202,6 +199,21 @@ class TestMaxIter:
     def test_accepts_numpy_integers(self):
         F = nl.make_functional("graph_tv", path_graph(4))
         assert nl.prox(F, np.arange(4.0), 0.1, max_iter=np.int64(500)).converged
+
+    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
+    def test_spent_budget_returns_the_best_unconverged_iterate(self, kind):
+        """On a 16x16 grid at sigma = 0.5 the dual kernel needs 120
+        (graph_tv) and 40 (lipschitz_sup) iterations.  Stopped earlier it
+        reports the budget and converged=False; its gap is the best over
+        the checks it made, and a larger budget makes a superset of the
+        same checks, so the gap cannot rise."""
+        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)))
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        for max_iter in (7, 12):
+            sol = nl.prox(F, f, 0.5, max_iter=max_iter)
+            assert not sol.converged and sol.iterations == max_iter
+        gaps = [nl.prox(F, f, 0.5, max_iter=k).gap for k in (5, 10, 20)]
+        assert gaps[0] >= gaps[1] >= gaps[2] > 0.0
 
 
 class TestDirichletBoundaryClamping:

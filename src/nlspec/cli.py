@@ -485,11 +485,10 @@ def main(argv=None) -> int:
                                                       output_dir=None))
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except NlspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, also for a YAML parser's multi-line message
+        tag = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{tag}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
 
 

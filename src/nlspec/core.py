@@ -32,9 +32,9 @@ from .errors import (
 GRAPH_KINDS = ("graph_tv", "dirichlet_p", "lipschitz_sup")
 VECTOR_KINDS = ("l1", "linf")
 
-#: absolute floor, times sqrt(dim), below which a deviation from the
-#: nullspace counts as zero
-NULLSPACE_FLOOR = 1e-13
+#: ||u - P_N u||_m / ||u||_m at or below which u counts as an element of N_J:
+#: the rounding error of the projection
+NULLSPACE_TOL = 1e-13
 
 
 def as_signal(values, n: Optional[int] = None) -> np.ndarray:
@@ -274,12 +274,20 @@ def project_nullspace(F: FunctionalHandle, u) -> np.ndarray:
     return np.einsum("ik,k->i", B, coeff)
 
 
+def split_nullspace(F: FunctionalHandle, u):
+    """(P_N u, v = u - P_N u, ||v||_m, in_N): u counts as an element of N_J
+    when ||v||_m <= NULLSPACE_TOL * ||u||_m, so the answer is scale-free."""
+    u = _check(F, u)
+    pu = project_nullspace(F, u)
+    v = u - pu
+    nv = norm(v, F.measure)
+    return pu, v, nv, nv <= NULLSPACE_TOL * norm(u, F.measure)
+
+
 def rayleigh(F: FunctionalHandle, u) -> float:
     """p * J(u - P_N u) / ||u - P_N u||^p."""
-    u = _check(F, u)
-    v = u - project_nullspace(F, u)
-    nv = norm(v, F.measure)
-    if nv < NULLSPACE_FLOOR * math.sqrt(F.dim):
+    _, v, nv, in_null = split_nullspace(F, u)
+    if in_null:
         raise NullspaceElement("signal is in the nullspace of the functional")
     return F.degree * evaluate(F, v) / nv ** F.degree
 

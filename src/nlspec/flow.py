@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    NULLSPACE_FLOOR,
     FunctionalHandle,
     as_signal,
     check_count,
@@ -27,7 +26,7 @@ from .core import (
     evaluate,
     inner,
     norm,
-    project_nullspace,
+    split_nullspace,
 )
 from .errors import BadStep, UnsupportedFunctional
 from .prox import eigen_certificate, prox, prox_nonvanishing_bound
@@ -88,14 +87,13 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
     check_count("max_steps", max_steps)
     f = clamp_boundary(F, as_signal(f, F.dim))
     m = F.measure
-    u_inf = project_nullspace(F, f)
-    dist0 = norm(f - u_inf, m)
+    u_inf, _, dist0, in_null = split_nullspace(F, f)
     floor = EXTINCTION_TOL * dist0
 
     us, taus, Js, dists = [f.copy()], [0.0], [evaluate(F, f)], [dist0]
     warnings, gap_total, extinction_index = [], 0.0, None
 
-    if dist0 <= NULLSPACE_FLOOR * math.sqrt(F.dim):
+    if in_null:
         extinction_index, floor = 0, dist0  # f is u_inf up to rounding
     else:
         if tau is None:

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightedGraph
+from .core import WeightedGraph, node_measure_array
 from .errors import BadParams, EmptyBoundary, NotSymmetric
 
 
 @dataclass(frozen=True)
 class DenseSpectrum:
     eigenvalues: np.ndarray   # non-decreasing
-    eigenvectors: np.ndarray  # columns, orthonormal (in the given measure)
-    node_measure: np.ndarray = None
+    eigenvectors: np.ndarray  # columns, orthonormal in the node measure
+    node_measure: np.ndarray  # ones when none was given
 
 
 def _jacobi(A: np.ndarray):
@@ -62,9 +62,9 @@ def _jacobi(A: np.ndarray):
 def dense_symmetric_eigs(A, node_measure=None) -> DenseSpectrum:
     """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
 
-    With node_measure, solves the generalized problem A v = lam * M v via the
-    symmetric rescaling M^{-1/2} A M^{-1/2}; returned eigenvectors are then
-    orthonormal in the measure-weighted inner product.
+    Solves the generalized problem A v = lam * M v, M the node measure (ones
+    without one), via the symmetric rescaling M^{-1/2} A M^{-1/2}; returned
+    eigenvectors are orthonormal in the measure-weighted inner product.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -75,33 +75,22 @@ def dense_symmetric_eigs(A, node_measure=None) -> DenseSpectrum:
     scale = max(float(np.max(np.abs(A))), 1e-300)
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric")
-    if node_measure is not None:
-        m = np.asarray(node_measure, dtype=float)
-        if m.shape != (n,) or not np.all(m > 0):
-            raise BadParams("node_measure must be positive and match the matrix")
-        s = np.sqrt(m)
-        B = A / np.outer(s, s)
-        B = 0.5 * (B + B.T)
-        vals, vecs = _jacobi(B)
-        vecs = vecs / s[:, None]
-    else:
-        m = None
-        vals, vecs = _jacobi(0.5 * (A + A.T))
+    m = node_measure_array(node_measure, n)
+    s = np.sqrt(m)
+    B = A / np.outer(s, s)
+    vals, vecs = _jacobi(0.5 * (B + B.T))
+    vecs = vecs / s[:, None]
     order = np.argsort(vals)
     return DenseSpectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order],
                          node_measure=m)
 
 
 def linear_heat_solution(spectrum: DenseSpectrum, f, t: float) -> np.ndarray:
-    """u(t) = sum_i c_i exp(-lam_i t) v_i with c_i = <f, v_i>."""
+    """u(t) = sum_i c_i exp(-lam_i t) v_i with c_i = <f, v_i>_m."""
     if t < 0:
         raise BadParams("time must be nonnegative")
-    f = np.asarray(f, dtype=float)
     V = spectrum.eigenvectors
-    if spectrum.node_measure is not None:
-        c = V.T @ (spectrum.node_measure * f)
-    else:
-        c = V.T @ f
+    c = V.T @ (spectrum.node_measure * np.asarray(f, dtype=float))
     lam = np.clip(spectrum.eigenvalues, 0.0, None)
     return V @ (c * np.exp(-lam * t))
 

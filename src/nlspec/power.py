@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    NULLSPACE_FLOOR,
+    NULLSPACE_TOL,
     FunctionalHandle,
     as_signal,
     check_count,
@@ -23,7 +23,7 @@ from .core import (
     evaluate,
     inner,
     norm,
-    project_nullspace,
+    split_nullspace,
 )
 from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
 from .prox import EigenCertificate, eigen_certificate
@@ -34,30 +34,25 @@ PROX_TOL = 1e-13
 
 @dataclass
 class EigenPair:
+    """The last prox call of a run, prox_sigma(w), and what it says of w."""
+
     w: np.ndarray          # unit m-norm, orthogonal to the nullspace
-    mu: float              # ||prox_sigma(w)||
-    sigma: float
+    mu: float              # ||prox_sigma(w)||, at most 1
+    sigma: float           # the step of the last prox call
     lam: float             # (1 - mu) / (sigma * mu^{p-1})
     rayleigh: float        # p * J(w)
     residual: float        # ||prox_sigma(w) - mu*w||
-    certificate: EigenCertificate
-    history: list          # per-iteration {"J", "residual", "sigma", "mu", "w_norm"}
+    certificate: EigenCertificate  # eigen_certificate(F, w, lam)
+    history: list          # per prox call {"J", "residual", "sigma", "mu", "w_norm"}
     oscillation: float     # max pairwise distance over the last 10 iterates
     converged: bool        # the residual reached tol and every prox solve converged
-
-
-def _normalize_off_nullspace(F, u, floor):
-    v = u - project_nullspace(F, u)
-    nv = norm(v, F.measure)
-    if nv <= floor:
-        return None
-    return v / nv
 
 
 def power_method(F: FunctionalHandle, start, c: float = 0.9,
                  rule: str = "constant", tol: float = 1e-13,
                  max_iter: int = 2000) -> EigenPair:
-    """Run the normalized proximal iteration from `start`."""
+    """Run the normalized proximal iteration from `start`; the pair returned
+    describes its last prox call, one per entry of `history`."""
     if not (0.0 < c < 1.0):
         raise BadParams("c must lie in (0, 1)")
     if rule not in ("constant", "adaptive"):
@@ -65,63 +60,48 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     check_count("max_iter", max_iter)
     start = clamp_boundary(F, as_signal(start, F.dim))
     m = F.measure
-    floor = NULLSPACE_FLOOR * np.sqrt(F.dim)
 
     # looked up at call time, so that a patched or traced nlspec.prox.prox
     # is the one called
     from .prox import prox
 
-    w = _normalize_off_nullspace(F, start, floor)
-    if w is None:
+    _, v, nv, in_null = split_nullspace(F, start)
+    if in_null:
         raise NullspaceStart("start vector lies in the nullspace")
-    J0 = evaluate(F, w)
-    if J0 <= floor:
-        raise DegenerateEnergy("J vanishes at the normalized start")
-    sigma0 = c / J0
-
+    w = v / nv
     history = []
     recent = deque(maxlen=10)
-    mu = sigma = resid = None
     converged, solved = False, True  # solved: every prox solve converged
-    for _ in range(max_iter):
+    for k in range(max_iter):
+        if k:  # normalize the previous prox iterate
+            _, v, nv, in_null = split_nullspace(F, sol.u)
+            if in_null:
+                raise DegenerateEnergy("iterate collapsed into the nullspace")
+            w = v / nv
+            recent.append(w)
         Jw = evaluate(F, w)
-        if rule == "adaptive":
-            if Jw <= 1e-300:
-                raise DegenerateEnergy("J(w_k) collapsed under the adaptive rule")
+        if rule == "adaptive" or not k:
+            if Jw <= 1e-300:  # keeps c/J(w) finite
+                raise DegenerateEnergy("J vanishes at the normalized iterate")
             sigma = c / Jw
-        else:
-            sigma = sigma0
         sol = prox(F, w, sigma, tol=PROX_TOL)
         solved = solved and sol.converged
-        v = sol.u
-        nv = norm(v, m)
-        if nv <= floor:
+        mu = norm(sol.u, m)
+        if mu <= NULLSPACE_TOL:  # relative to ||w||_m = 1
             raise DegenerateEnergy("prox iterate vanished (step too large)")
-        resid = max(nv - inner(v, w, m), 0.0)
+        resid = max(mu - inner(sol.u, w, m), 0.0)
         history.append({"J": Jw, "residual": resid, "sigma": sigma,
-                        "mu": nv, "w_norm": norm(w, m)})
-        mu = nv
+                        "mu": mu, "w_norm": norm(w, m)})
         if resid <= tol:
             converged = True
             break
-        w_next = _normalize_off_nullspace(F, v, floor)
-        if w_next is None:
-            raise DegenerateEnergy("iterate collapsed into the nullspace")
-        recent.append(w_next)
-        w = w_next
 
     mu = min(mu, 1.0)
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
-    # fixed-point residual in vector form: prox_sigma(w) vs mu*w; after
-    # convergence w and sigma are those of the last prox call
-    if not converged:
-        sol = prox(F, w, sigma, tol=PROX_TOL)
-        solved = solved and sol.converged
-    residual_vec = norm(sol.u - mu * w, m)
     osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
                      rayleigh=F.degree * evaluate(F, w),
-                     residual=residual_vec,
+                     residual=norm(sol.u - mu * w, m),
                      certificate=eigen_certificate(F, w, lam),
                      history=history, oscillation=osc, converged=converged and solved)
 

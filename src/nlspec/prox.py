@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
                    clamp_boundary, components, euler_residual, evaluate,
-                   evaluate_batch, inner, norm, project_nullspace)
+                   evaluate_batch, inner, norm, split_nullspace)
 from .errors import (BadStep, DimensionTooLarge, NullspaceElement,
                      UnsupportedFunctional, ZeroSignal)
 
@@ -305,10 +305,10 @@ def prox_nonvanishing_bound(F: FunctionalHandle, f) -> float:
     """sigma < ||f - P_N f||^2 / J(f) guarantees prox(f) != P_N f."""
     f = as_signal(f, F.dim)
     jf = evaluate(F, f)
-    if jf <= 0.0:
-        raise NullspaceElement("J(f) = 0: bound undefined")
-    g = f - project_nullspace(F, f)
-    return norm(g, F.measure) ** 2 / jf
+    ng, in_null = split_nullspace(F, f)[2:]
+    if in_null or jf <= 0.0:
+        raise NullspaceElement("f is in the nullspace: bound undefined")
+    return ng ** 2 / jf
 
 
 #: tolerance of the certificate solves

@@ -125,6 +125,13 @@ MALFORMED = {
                                 "input.generator.seed"),  # ValueError
     "negative_seed": ({"input": {"generator": {"name": "gaussian"}},
                        "seed": -1}, {}, "seed:"),  # ValueError
+    "domain_without_edges": ({"domain": {"n": 3}}, {}, "domain:"),
+    "no_input": ({"input": MISSING}, {}, "input section"),
+    "unknown_generator": ({"input": {"generator": {"name": "poisson"}}}, {},
+                          "'poisson'"),
+    "oracle_without_matrix": ({"command": "oracle", "domain": MISSING,
+                               "functional": {"kind": "l1", "n": 3},
+                               "options": MISSING}, {}, "not l1"),
 }
 
 
@@ -145,6 +152,15 @@ class TestFrontDoor:
         assert rc == 1
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert key in err and "Traceback" not in err
+
+    def test_invalid_yaml_is_one_config_error_line(self, tmp_path, capsys):
+        # the YAML parser's message spans three lines
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("functional: {kind: l1\n")
+        rc = cli.main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: config is not valid YAML")
+        assert len(err.splitlines()) == 1 and "line 2" in err
 
     @pytest.mark.parametrize("overrides", [
         {"domain": MISSING, "functional": {"kind": "l1", "n": -1}},
@@ -538,6 +554,40 @@ class TestCompare:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("config error: --tol-file: t")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("Lambda: [1\n", "--tol-file: while parsing"),
+        ("- 1.0e-6\n", "--tol-file: expected a mapping"),
+    ], ids=["invalid_yaml", "list"])
+    def test_bad_tolerance_file_is_one_config_error_line(self, text, message,
+                                                         tmp_path, capsys):
+        a = self._write_trace(tmp_path, "a")
+        tol = tmp_path / "tol.yaml"
+        tol.write_text(text)
+        rc = cli.main(["compare", a, a, "--tol-file", str(tol)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: " + message)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("x,y\n1,2\n3\n", "every row needs 2 numbers"),
+    ], ids=["empty", "short_row"])
+    def test_unreadable_csv_is_one_error_line(self, text, message, tmp_path,
+                                              capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        rc = cli.main(["compare", str(bad), str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_row_count_mismatch(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x,y\n1,2\n")
+        b.write_text("x,y\n1,2\n1,2\n")
+        assert cli.main(["compare", str(a), str(b)]) == 2
+        assert "row count mismatch: 1 vs 2" in capsys.readouterr().out
 
     def test_schema_mismatch(self, tmp_path, capsys):
         a = self._write_trace(tmp_path, "a")

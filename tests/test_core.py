@@ -254,6 +254,16 @@ class TestRayleigh:
         with pytest.raises(errors.NullspaceElement):
             nl.rayleigh(F, np.full(3, 2.5))
 
+    def test_nullspace_test_is_relative_to_the_signal(self):
+        # an absolute floor once rejected s = 1e-13 as a nullspace element
+        F = nl.make_functional("graph_tv", path_graph(64))
+        f = np.random.default_rng(0).standard_normal(64)
+        r = nl.rayleigh(F, f)
+        for s in (1e-13, 1e-100, 1e100):
+            assert nl.rayleigh(F, s * f) == pytest.approx(r, rel=1e-12)
+            with pytest.raises(errors.NullspaceElement):
+                nl.rayleigh(F, np.full(64, s))
+
 
 class TestMinNormSubgradient:
     def test_l1_signs(self):

@@ -485,7 +485,7 @@ class TestExtinctionFloor:
 
         lam_last, lower, worst = diagnostics(1.0)
         assert lower > 0.0 if p == 1 else lower == 0.0
-        for s in (1e-7, 1e-12):
+        for s in (1e-7, 1e-12, 1e-13, 1e-20):
             lam_s, lower_s, worst_s = diagnostics(s)
             assert lam_s == pytest.approx(lam_last, rel=1e-8)
             assert lower_s == pytest.approx(s * lower, rel=1e-8, abs=0.0)

@@ -67,6 +67,18 @@ class TestLinearHeatSolution:
         f = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         assert np.allclose(nl.linear_heat_solution(spec, f, 0.0), f, atol=1e-10)
 
+    def test_measure_weighted_heat(self):
+        # u' = -M^{-1} A u: u(0) = f, and the M-mass of f is conserved
+        m = np.array([1.0, 2.0, 0.5, 1.5, 0.25])
+        spec = nl.dense_symmetric_eigs(path_laplacian(5), node_measure=m)
+        assert np.array_equal(spec.node_measure, m)
+        assert np.array_equal(nl.dense_symmetric_eigs(np.eye(2)).node_measure,
+                              np.ones(2))
+        f = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        assert np.allclose(nl.linear_heat_solution(spec, f, 0.0), f, atol=1e-10)
+        u = nl.linear_heat_solution(spec, f, 200.0)
+        assert np.allclose(u, (m @ f) / m.sum(), atol=1e-10)
+
     def test_single_mode_decay(self):
         spec = nl.dense_symmetric_eigs(path_laplacian(5))
         v = spec.eigenvectors[:, 2]

@@ -25,8 +25,7 @@ class TestPowerMethod:
         assert abs(pair.w @ v1) >= 1.0 - 1e-10
 
     def test_one_prox_call_per_iteration(self, monkeypatch):
-        # a converged run reuses its last prox for the fixed-point residual;
-        # an unconverged one needs one more call at the final iterate
+        # converged or not, the fixed-point residual reuses the last prox call
         prox_module = importlib.import_module("nlspec.prox")
         calls = []
         prox = prox_module.prox
@@ -34,13 +33,64 @@ class TestPowerMethod:
                             lambda *a, **k: calls.append(1) or prox(*a, **k))
         F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=5)))
         start = np.array([1.0, 0.2, -0.5, 0.3, -1.0])
-        for max_iter, extra in ((2000, 0), (2, 1)):
+        for max_iter, extra in ((2000, 0), (2, 0)):
             calls.clear()
             pair = nl.power_method(F, start, max_iter=max_iter)
-            assert pair.converged == (extra == 0)
+            assert pair.converged == (max_iter == 2000)
             assert len(calls) == len(pair.history) + extra
             v = prox(F, pair.w, pair.sigma, tol=1e-13).u
             assert pair.residual == nl.core.norm(v - pair.mu * pair.w, F.measure)
+
+    @pytest.mark.parametrize("kind, p", [("graph_tv", None), ("dirichlet_p", 1.5)])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_unconverged_pair_describes_its_last_prox_call(self, kind, p,
+                                                           max_iter, monkeypatch):
+        # w, mu, sigma, lam, the residual and history[-1] once mixed the last
+        # solved iterate with the next, unsolved one
+        prox_module = importlib.import_module("nlspec.prox")
+        calls = []
+        prox = prox_module.prox
+        monkeypatch.setattr(prox_module, "prox",
+                            lambda *a, **k: calls.append(1) or prox(*a, **k))
+        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(width=5)), p=p)
+        pair = nl.power_method(F, np.array([1.0, 0.2, -0.5, 0.3, -1.0]),
+                               max_iter=max_iter)
+        assert not pair.converged
+        assert len(calls) == len(pair.history) == max_iter
+        v = prox(F, pair.w, pair.sigma, tol=1e-13).u
+        mu = nl.norm(v, F.measure)
+        assert pair.mu == mu
+        assert pair.lam == pytest.approx(
+            (1.0 - mu) / (pair.sigma * mu ** (F.degree - 1.0)), rel=1e-14)
+        assert pair.residual == nl.norm(v - mu * pair.w, F.measure)
+        last = pair.history[-1]
+        assert (last["mu"], last["sigma"]) == (pair.mu, pair.sigma)
+        assert last["J"] == nl.evaluate(F, pair.w)
+        assert last["residual"] == max(mu - nl.inner(v, pair.w, F.measure), 0.0)
+
+    @pytest.mark.parametrize("u, message", [
+        (np.zeros(5), "prox iterate vanished"),
+        (np.full(5, 0.3), "iterate collapsed into the nullspace"),
+    ], ids=["zero", "constant"])
+    def test_degenerate_prox_iterate_raises(self, u, message, monkeypatch):
+        prox_module = importlib.import_module("nlspec.prox")
+        prox = prox_module.prox
+        monkeypatch.setattr(prox_module, "prox", lambda *a, **k: dataclasses.replace(
+            prox(*a, **k), u=u.copy()))
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=5)))
+        with pytest.raises(errors.DegenerateEnergy, match=message):
+            nl.power_method(F, np.array([1.0, 0.2, -0.5, 0.3, -1.0]))
+
+    def test_nullspace_test_is_relative_to_the_start(self):
+        # an absolute floor once rejected s = 1e-13 as a nullspace start
+        F = nl.make_functional("graph_tv", path_graph(64))
+        f = np.random.default_rng(0).standard_normal(64)
+        lam = nl.power_method(F, f).lam
+        for s in (1e-13, 1e-100):
+            assert nl.power_method(F, s * f).lam == pytest.approx(lam, rel=1e-12)
+        for s in (1e-100, 1.0, 1e100):
+            with pytest.raises(errors.NullspaceStart):
+                nl.power_method(F, s * (1.0 + 1e-15 * f))
 
     def test_unconverged_prox_solve_is_reported(self, monkeypatch):
         """A run whose residual reaches tol is still unconverged when a prox

@@ -20,7 +20,7 @@ from .core import (
     min_norm_subgradient,
 )
 from .functionals import GridSpec, build_grid_graph, make_functional, laplacian_matrix
-from .prox import (ProxSolution, prox, brute_force_prox, prox_nonvanishing_bound,
+from .prox import (ProxSolution, prox, prox_nonvanishing_bound,
                    dual_ball_membership, EigenCertificate, eigen_certificate)
 from .flow import (
     FlowTrace,
@@ -34,6 +34,7 @@ from .flow import (
 from .power import EigenPair, power_method, ground_state_search
 from .oracles import (
     DenseSpectrum,
+    brute_force_prox,
     dense_symmetric_eigs,
     linear_heat_solution,
     distance_transform,

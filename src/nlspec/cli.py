@@ -61,7 +61,8 @@ def _seed(value):
 
 
 def _floats(value):
-    return np.asarray(value, dtype=float)
+    """A number or nested list of numbers, kept as plain Python floats."""
+    return np.asarray(value, dtype=float).tolist()
 
 
 _FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
@@ -70,7 +71,7 @@ _FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
 OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
            "power": {"restarts": _int, "c": float, "rule": str, "tol": float,
                      "max_iter": _int},
-           "oracle": {}, "validate": {}}
+           "oracle": {}}
 SCHEMA = {
     "functional": Required({"kind": Required(str), "p": float, "matrix": _floats,
                             "node_measure": _floats, "n": _int}),
@@ -180,9 +181,9 @@ def build_input(cfg, F, seed, manifest):
     gen = isec["generator"]
     name = gen["name"]
     if name == "indicator":
-        nodes = gen.get("nodes")
-        if nodes is None or not ((nodes == np.round(nodes)) & (0 <= nodes)
-                                 & (nodes < F.dim)).all():
+        nodes = np.asarray(gen.get("nodes", -1.0))  # absent: no node index
+        if not ((nodes == np.round(nodes)) & (0 <= nodes)
+                & (nodes < F.dim)).all():
             raise ConfigError(f"input.generator.nodes: indicator needs node "
                               f"indices, integers in [0, {F.dim})")
         f = np.zeros(F.dim)
@@ -341,31 +342,16 @@ def cmd_run(args) -> int:
         if F.graph is not None and F.graph.boundary:
             write_signal(sig_dir, "distance", oracles.distance_transform(F.graph),
                          grid_spec, manifest)
-    elif command == "validate":
-        return cmd_validate(args)
 
     if manifest["warnings"] and args.strict:
         status = 1
     with open(os.path.join(out_dir, "manifest.yaml"), "w") as fh:
-        yaml.safe_dump(_plain(manifest), fh, sort_keys=True)
+        yaml.safe_dump(manifest, fh, sort_keys=True)
     return status
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so YAML output stays plain."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def cmd_validate(args) -> int:
-    results = validation.run_suite(getattr(args, "filter", None))
+    results = validation.run_suite(args.filter)
     width = max(len(r.name) for r in results) if results else 10
     failed = 0
     for r in results:

@@ -111,7 +111,7 @@ class WeightedGraph:
             raise BadParams("duplicate edge")
         if not ((bi == b) & (0 <= bi) & (bi < n)).all():
             raise BadParams(f"boundary nodes must be integers in [0, {n})")
-        if not _connected(n, i, j):
+        if components(n, i, j).any():  # a second component's root is > 0
             raise BadParams("graph is not connected")
         interior = np.ones(n, dtype=bool)
         interior[bi] = False
@@ -151,11 +151,6 @@ class WeightedGraph:
         if self._div is None:
             self._div = edgecalc.div_matrix(self)
         return self._div
-
-
-def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
-    """Is the graph of the edges (i, j) on n nodes connected?"""
-    return not components(n, i, j).any()
 
 
 def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -216,13 +211,9 @@ def clamp_boundary(F: FunctionalHandle, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _check(F: FunctionalHandle, u) -> np.ndarray:
-    return as_signal(u, F.dim)
-
-
 def evaluate(F: FunctionalHandle, u) -> float:
     """J(u) for every catalog kind; >= 0 and exactly p-homogeneous."""
-    return float(evaluate_batch(F, _check(F, u)))
+    return float(evaluate_batch(F, as_signal(u, F.dim)))
 
 
 def evaluate_batch(F: FunctionalHandle, U: np.ndarray) -> np.ndarray:
@@ -265,7 +256,7 @@ def nullspace_basis(F: FunctionalHandle) -> np.ndarray:
 
 
 def project_nullspace(F: FunctionalHandle, u) -> np.ndarray:
-    u = _check(F, u)
+    u = as_signal(u, F.dim)
     B = nullspace_basis(F)
     if B.shape[1] == 0:
         return np.zeros_like(u)
@@ -277,7 +268,7 @@ def project_nullspace(F: FunctionalHandle, u) -> np.ndarray:
 def split_nullspace(F: FunctionalHandle, u):
     """(P_N u, v = u - P_N u, ||v||_m, in_N): u counts as an element of N_J
     when ||v||_m <= NULLSPACE_TOL * ||u||_m, so the answer is scale-free."""
-    u = _check(F, u)
+    u = as_signal(u, F.dim)
     pu = project_nullspace(F, u)
     v = u - pu
     nv = norm(v, F.measure)
@@ -294,14 +285,14 @@ def rayleigh(F: FunctionalHandle, u) -> float:
 
 def euler_residual(F: FunctionalHandle, u, zeta) -> float:
     """|p J(u) - <zeta, u>|; zero whenever zeta is a subgradient at u."""
-    u = _check(F, u)
-    zeta = _check(F, zeta)
+    u = as_signal(u, F.dim)
+    zeta = as_signal(zeta, F.dim)
     return abs(F.degree * evaluate(F, u) - inner(zeta, u, F.measure))
 
 
 def min_norm_subgradient(F: FunctionalHandle, u) -> np.ndarray:
     """Closed-form minimal-norm subgradient for l1 / linf."""
-    u = _check(F, u)
+    u = as_signal(u, F.dim)
     m = F.measure
     if F.kind == "l1":
         return np.sign(u)

@@ -2,7 +2,7 @@
 answer.
 
 prox_{sigma J}(f) = argmin 0.5*||u - f||^2_m + sigma*J(u), with a certified
-optimality gap per call and a brute-force oracle for cross-checking.
+optimality gap per call; `oracles.brute_force_prox` cross-checks it.
 
 Routes by kind and degree, chosen only here (`_solve`, and `_edge_dual` for
 the edgewise maps):
@@ -34,9 +34,9 @@ from scipy.optimize import minimize
 from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
                    clamp_boundary, components, euler_residual, evaluate,
-                   evaluate_batch, inner, norm, split_nullspace)
-from .errors import (BadStep, DimensionTooLarge, NullspaceElement,
-                     UnsupportedFunctional, ZeroSignal)
+                   inner, norm, split_nullspace)
+from .errors import (BadStep, NullspaceElement, UnsupportedFunctional,
+                     ZeroSignal)
 
 #: iteration cap of every prox solve, the certificate solves' included
 MAX_ITER = 50000
@@ -268,37 +268,6 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
             return u, its, gap, True
         ftol *= 1e-2
     return u, its, gap, False
-
-
-def brute_force_prox(F: FunctionalHandle, f, sigma: float) -> np.ndarray:
-    """Independent oracle: nested grid search around f over the nodes not
-    clamped by a Dirichlet boundary (at most 4); clamped nodes stay 0.
-
-    The search spans +-2 around f with 21 points per axis over 6 levels.
-    Each level refines by 5x, so its window spans two steps of the level
-    before on either side.  A window of one step (10x) loses the minimizer
-    in flat valleys of the objective: on 3-node paths it stopped up to 5e-2
-    away.
-    """
-    f = clamp_boundary(F, as_signal(f, F.dim))
-    free = np.flatnonzero(F.graph.interior_mask) if F.has_boundary \
-        else np.arange(F.dim)
-    k = len(free)
-    if k > 4:
-        raise DimensionTooLarge("brute-force prox supports at most 4 free nodes")
-    m = F.measure
-    axes = np.linspace(-1.0, 1.0, 21)
-    offsets = np.stack(np.meshgrid(*([axes] * k), indexing="ij"),
-                       axis=-1).reshape(-1, k)
-    best = f
-    r = 2.0
-    for _ in range(6):
-        U = np.tile(best, (len(offsets), 1))
-        U[:, free] += r * offsets
-        obj = 0.5 * np.sum(m * (U - f) ** 2, axis=1) + sigma * evaluate_batch(F, U)
-        best = U[int(np.argmin(obj))]
-        r /= 5.0
-    return best
 
 
 def prox_nonvanishing_bound(F: FunctionalHandle, f) -> float:

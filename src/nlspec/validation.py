@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, flow, functionals, oracles, power
-from .prox import (prox as prox_fn, brute_force_prox, dual_ball_membership,
-                   eigen_certificate)
+from .prox import prox as prox_fn, dual_ball_membership, eigen_certificate
 
 
 @dataclass
@@ -366,7 +365,7 @@ def check_prox_oracle_equivalence():
             f = rng.uniform(-1.0, 1.0, F.dim)
             sigma = rng.uniform(0.1, 0.8)
             u = prox_fn(F, f, sigma, tol=1e-12).u
-            ub = brute_force_prox(F, f, sigma)
+            ub = oracles.brute_force_prox(F, f, sigma)
             dev = float(np.max(np.abs(u - ub)))
             if dev > 1e-3:
                 fails.append(f"{name} dev={dev:.2e}")

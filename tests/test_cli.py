@@ -618,19 +618,13 @@ class TestValidateCommand:
         assert called == ["oracles.kept"]
         assert "1/1 checks passed" in capsys.readouterr().out
 
-    def test_run_config_command(self, tmp_path, monkeypatch, capsys):
-        """`command: validate` in a run config runs the whole suite and exits
-        2 on a failed check."""
-        from nlspec import validation
-        monkeypatch.setattr(validation, "CHECKS", [
-            ("a.passes", lambda: (True, "ok")),
-            ("b.fails", lambda: (False, "broken"))])
+    def test_run_config_is_not_an_entry_point(self, tmp_path, capsys):
+        """The suite is reached by `nlspec validate` alone: `command: validate`
+        in a run config is an unknown command."""
         p = write_config(tmp_path / "c.yaml", {
             "functional": {"kind": "l1", "n": 2}, "command": "validate"})
-        assert cli.main(["run", p]) == 2
-        out = capsys.readouterr().out
-        assert "a.passes" in out and "b.fails" in out
-        assert "1/2 checks passed" in out
+        assert cli.main(["run", p]) == 1
+        assert "unknown command 'validate'" in capsys.readouterr().err
 
     def test_float_roundtrip_checks_the_cli_format(self, monkeypatch, capsys):
         """The check round-trips through the format the artifacts use: at 15

@@ -1,10 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlspec as nl
-from nlspec import errors
+from nlspec import errors, oracles
 
 
 def path_laplacian(n):
@@ -59,6 +61,27 @@ class TestDenseSymmetricEigs:
     def test_not_symmetric_raises(self):
         with pytest.raises(errors.NotSymmetric):
             nl.dense_symmetric_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_too_large_raises(self):
+        # the same error as the brute-force prox's limit
+        with pytest.raises(errors.DimensionTooLarge):
+            nl.dense_symmetric_eigs(np.zeros((2001, 2001)))
+
+
+def test_oracles_share_no_solver_code():
+    """The oracles import no solver or front-end module: of the package they
+    use only `core`'s definitions of the graph and the functionals."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    banned = {"prox", "flow", "power", "edgecalc", "validation", "cli"}
+    assert not imported & banned
+    assert "brute_force_prox" in vars(oracles)
 
 
 class TestLinearHeatSolution:

@@ -190,8 +190,9 @@ class TestMaxIter:
                                          ("dirichlet_p", 3.0)],
                              ids=["dual", "lbfgs"])
     def test_rejects_non_positive_or_fractional(self, kind, p, max_iter):
-        # islice raises a bare ValueError on the dual route, and L-BFGS
-        # ignores max_iter <= 0
+        # unchecked, the dual loop's range() raises a bare TypeError at 2.5
+        # and leaves its counter unbound at max_iter <= 0, and L-BFGS ignores
+        # max_iter <= 0
         F = nl.make_functional(kind, path_graph(4), p=p)
         with pytest.raises(errors.BadParams):
             nl.prox(F, np.arange(4.0), 0.1, max_iter=max_iter)

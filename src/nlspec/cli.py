@@ -182,10 +182,10 @@ def build_input(cfg, F, seed, manifest):
     name = gen["name"]
     if name == "indicator":
         nodes = np.asarray(gen.get("nodes", -1.0))  # absent: no node index
-        if not ((nodes == np.round(nodes)) & (0 <= nodes)
-                & (nodes < F.dim)).all():
-            raise ConfigError(f"input.generator.nodes: indicator needs node "
-                              f"indices, integers in [0, {F.dim})")
+        if not (nodes.size and ((nodes == np.round(nodes)) & (0 <= nodes)
+                                & (nodes < F.dim)).all()):
+            raise ConfigError(f"input.generator.nodes: indicator needs one or "
+                              f"more node indices, integers in [0, {F.dim})")
         f = np.zeros(F.dim)
         f[nodes.astype(int)] = 1.0
         return f

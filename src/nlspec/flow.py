@@ -100,8 +100,8 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
             tau = default_step_size(F, f)
         t_acc = 0.0
         for k in range(1, max_steps + 1):
-            # up to four attempts, halving the step before each retry; the
-            # step kept is the one the last solution used
+            # up to four attempts, halving the step before each retry; the step
+            # kept is the last solution's, with a warning if it is unconverged
             tau_k = tau
             for attempt in range(4):
                 if attempt:
@@ -109,6 +109,7 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
                 sol = prox(F, us[-1], tau_k, tol=prox_tol)
                 if sol.converged:
                     break
+            else:
                 warnings.append(f"step {k}: prox not converged at tau={tau_k}")
             gap_total += sol.gap
             t_acc += tau_k

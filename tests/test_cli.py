@@ -106,6 +106,9 @@ MALFORMED = {
     "negative_node": ({"input": {"generator": {"name": "indicator",
                                                "nodes": [-1]}}}, {},
                       "input.generator.nodes"),  # read as the last node
+    "empty_indicator_nodes": ({"input": {"generator": {"name": "indicator",
+                                                       "nodes": []}}}, {},
+                              "input.generator.nodes"),  # the zero signal
     "negative_index": ({"input": {"generator": {"name": "oracle_eigenvector",
                                                 "index": -1}}}, {},
                        "input.generator.index"),  # read as the last vector
@@ -340,9 +343,26 @@ class TestStrict:
         argv = ["run", write_config(tmp_path / "c.yaml", cfg)]
         assert cli.main(argv + ["--strict"] * strict) == int(strict)
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-        assert len(manifest["warnings"]) == 12
-        assert "prox not converged at tau=0.00625" in manifest["warnings"][3]
+        assert len(manifest["warnings"]) == 3
+        assert "prox not converged at tau=0.00625" in manifest["warnings"][0]
         assert manifest["resolved"]["tau"] == 0.00625
+
+    def test_recovered_step_is_no_warning(self, tmp_path, monkeypatch):
+        """A prox that fails at tau = 0.05 and converges at the halved step
+        keeps a certified step: no warning, and --strict exits 0."""
+        prox = flow_module.prox
+
+        def fails_at_first_step(F, u, sigma, **kwargs):
+            return dataclasses.replace(prox(F, u, sigma, **kwargs),
+                                       converged=sigma != 0.05)
+
+        monkeypatch.setattr(flow_module, "prox", fails_at_first_step)
+        out = tmp_path / "out"
+        cfg = flow_config(out, options={"tau": 0.05, "max_steps": 3})
+        assert cli.main(["run", write_config(tmp_path / "c.yaml", cfg), "--strict"]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["warnings"] == []
+        assert manifest["resolved"]["tau"] == 0.025
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_unconverged_eigenpairs(self, tmp_path, strict):

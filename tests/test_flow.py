@@ -91,8 +91,27 @@ class TestRunFlow:
         assert steps == [0.05, 0.025, 0.0125, 0.00625] * 3
         assert np.array_equal(tr.tau[1:], [0.00625] * 3)
         assert tr.t[-1] == pytest.approx(3 * 0.00625)
-        assert len(tr.warnings) == 12
+        assert len(tr.warnings) == 3
         assert nl.decompose(tr)["reconstruction_residual"] <= 1e-14
+
+    def test_recovered_step_leaves_no_warning(self, monkeypatch):
+        """A step whose first attempt fails and whose halved step converges
+        is certified: the halved step is kept and no warning is added."""
+        steps = []
+        prox = flow_module.prox
+
+        def fails_first(F, u, sigma, **kwargs):
+            steps.append(sigma)
+            return dataclasses.replace(prox(F, u, sigma, **kwargs),
+                                       converged=sigma != 0.05)
+
+        monkeypatch.setattr(flow_module, "prox", fails_first)
+        F = nl.make_functional("graph_tv", path_graph(6))
+        f = np.random.default_rng(4).standard_normal(6)
+        tr = nl.run_flow(F, f, tau=0.05, max_steps=3)
+        assert steps == [0.05, 0.025] * 3
+        assert np.array_equal(tr.tau[1:], [0.025] * 3)
+        assert tr.warnings == []
 
     @pytest.mark.parametrize("F", [
         nl.make_functional("graph_tv", nl.build_grid_graph(

@@ -14,7 +14,9 @@ the edgewise maps):
   kinds            with an edgewise map after each step: the box at degree 1,
                    whose primal is also rounded to its clusters; the prox of
                    the power conjugate for 1 < p < 2; the weighted-l1 ball for
-                   lipschitz_sup.  Both routes certify with one Fenchel gap.
+                   lipschitz_sup.  Both routes certify with the gap in its
+                   Fenchel-Young form (`_fenchel_young`), edge by edge, so no
+                   term of the size of f cancels and in the box none is < 0.
 
 The same solver answers the dual questions for every kind:
 `dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
@@ -34,7 +36,7 @@ from scipy.optimize import minimize
 from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
                    clamp_boundary, components, euler_residual, evaluate,
-                   inner, norm, split_nullspace)
+                   norm, split_nullspace)
 from .errors import (BadStep, NullspaceElement, UnsupportedFunctional,
                      ZeroSignal)
 
@@ -101,7 +103,7 @@ def _prox_quadratic(F, f, sigma, tol):
 
 def _edge_dual(F, sigma):
     """The edge-flow side of the prox dual of sigma*J on a graph,
-    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a triple:
+    min_psi 0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), as a quadruple:
 
     - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
       `_prox_dual_fista` applies after each gradient step: the projection
@@ -109,44 +111,56 @@ def _edge_dual(F, sigma):
       |psi_e| <= sigma*w_e (degree 1), or for degree p > 1
       `edgecalc.prox_power_conjugate` with
       h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
-    - psi -> sum_e h*_e(psi_e), the conjugate value the duality gap
-      subtracts: 0 for the indicators;
+    - psi -> sum_e h*_e(psi_e): 0 for the indicators;
     - the box radii sigma*w for the box kinds, else None: an edge strictly
-      inside its box joins two nodes on which the exact prox is equal.
+      inside its box joins two nodes on which the exact prox is equal;
+    - du -> h(du) = sigma*J(u) at du = edge_diff(u), as the edge terms
+      sigma*w_e*|du_e|^p/p, or for lipschitz_sup, whose J sums no terms,
+      as the value sigma*max_e w_e*|du_e|.
 
     The edgecalc maps, and L, are looked up at call time, so a caller that
-    only needs h* never computes L.
+    only needs the gap never computes L.
     """
     w = F.graph.edge_arrays[2]
     if F.kind == "lipschitz_sup":
         inv_w, ones = 1.0 / w, np.ones_like(w)
         return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
-                _zero_conjugate, None)
+                lambda psi: 0.0, None,
+                lambda du: sigma * np.max(w * np.abs(du), initial=0.0))
     a = sigma * w
     if F.degree > 1.0:
-        q, graph = F.degree / (F.degree - 1.0), F.graph
+        p, q, graph = F.degree, F.degree / (F.degree - 1.0), F.graph
         return (lambda psi: edgecalc.prox_power_conjugate(
                     psi, a, graph.grad_div_opnorm, q),
-                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None)
+                lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None,
+                lambda du: a * np.abs(du) ** p / p)
     lower = -a
-    return lambda psi: edgecalc.project_box(psi, lower, a), _zero_conjugate, a
+    return (lambda psi: edgecalc.project_box(psi, lower, a), lambda psi: 0.0, a,
+            lambda du: a * np.abs(du))
 
 
-def _zero_conjugate(psi):
-    return 0.0
-
-
-def _fenchel_gap(F, f, sigma, u, d, hstar):
-    """P(u) and the gap P(u) - D(psi) of the graph prox and its dual, from
-    d = div(psi) and hstar = sum_e h*_e(psi_e) (`_edge_dual`):
-
-        P(u)   = 0.5*||u - f||^2_m + sigma*J(u)
-        D(psi) = <f, d>_m - 0.5*||d||^2_m - h*(psi)
+def _fenchel_young(h, hstar, psi, dv, m, r, miss=None):
+    """P(v) = 0.5*||r||^2_m + sigma*J(v), r = v - f, and the prox gap
+    P(v) - D(psi) = h(dv) + h*(psi) - <psi, dv> + 0.5*||miss||^2_m at
+    dv = edge_diff(v), miss = v - (f - div(psi)) (None when v is f -
+    div(psi)), h and h* from `_edge_dual`.  It is P - D because <v,
+    div(psi)>_m = <psi, dv> for a boundary-zero v, but subtracts no term of
+    the size of f.  Edge terms are paired edge by edge, and in the box
+    |psi_e*dv_e| <= sigma*w_e*|dv_e| after rounding too, so no box kind's
+    gap is negative.
     """
-    m = F.measure
-    pval = 0.5 * norm(u - f, m) ** 2 + sigma * evaluate(F, u)
-    dval = -0.5 * norm(d, m) ** 2 + inner(f, d, m) - hstar
-    return pval, pval - dval
+    terms = h(dv)
+    pval = _half_sq(r, m) + float(terms.sum())
+    terms -= psi * dv if np.ndim(terms) else np.einsum("i,i", psi, dv)
+    gap = float(terms.sum()) + hstar(psi)
+    if miss is not None:
+        gap += _half_sq(miss, m)
+    return pval, gap
+
+
+def _half_sq(x, m):
+    """0.5*||x||^2_m, by einsum: see the edgecalc module docstring."""
+    return 0.5 * float(np.einsum("i,i,i", m, x, x))
 
 
 def _prox_dual_fista(F, f, sigma, tol, max_iter):
@@ -155,7 +169,8 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     after each gradient step of 1/L, L = graph.grad_div_opnorm >= the norm of
     edge_diff o edge_div.  The momentum restarts when it points against the
     step (O'Donoghue & Candes, FoCM 2015); every fifth iterate is tested by
-    the Fenchel gap at u = f - div(psi).
+    the Fenchel-Young gap at u = f - div(psi).  The step writes only into
+    its own buffers, never into f or an array it returns.
 
     For the box kinds a check may also try u rounded to its clusters
     (`_cluster_means`) and keep the candidate of smaller gap against the same
@@ -167,38 +182,46 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
     Tries are rationed by the relative gap of u = f - div(psi): the first at
     sqrt(tol), each later one after a tenfold fall since the last.
     """
-    graph = F.graph
+    graph, m = F.graph, F.measure
     i_idx, j_idx, _ = graph.edge_arrays
-    project, conjugate, box = _edge_dual(F, sigma)
+    project, conjugate, box, h = _edge_dual(F, sigma)
     next_round = math.sqrt(tol) if box is not None else -math.inf
 
     def primal_gap(psi):
         nonlocal next_round
         d = edgecalc.edge_div(psi, graph)
-        hstar = conjugate(psi)
         u = f - d
-        pval, gap = _fenchel_gap(F, f, sigma, u, d, hstar)
+        pval, gap = _fenchel_young(h, conjugate, psi,
+                                   edgecalc.edge_diff(u, i_idx, j_idx), m, d)
         rel = gap / (1.0 + abs(pval))
         if rel <= next_round:
             next_round = rel / 10.0
             v = _cluster_means(F, f, psi, np.abs(psi) < box)
-            pv, gv = _fenchel_gap(F, f, sigma, v, d, hstar)
+            pv, gv = _fenchel_young(h, conjugate, psi,
+                                    edgecalc.edge_diff(v, i_idx, j_idx), m,
+                                    v - f, v - u)
             if gv < gap:
                 return v, pv, gv
         return u, pval, gap
 
-    psi = y = np.zeros(len(i_idx))
+    psi, y, step = (np.zeros(len(i_idx)) for _ in range(3))
     best = primal_gap(psi)
     L = graph.grad_div_opnorm
     t = 1.0
     for its in range(1, max_iter + 1):
-        r = edgecalc.edge_div(y, graph) - f
-        psi_new = project(y - edgecalc.edge_diff(r, i_idx, j_idx) / L)
-        step = psi_new - psi
-        if np.einsum("i,i", y - psi_new, step) > 0.0:
+        r = edgecalc.edge_div(y, graph)
+        r -= f
+        z = edgecalc.edge_diff(r, i_idx, j_idx)
+        z *= -1.0 / L
+        z += y
+        psi_new = project(z)
+        np.subtract(psi_new, psi, out=step)
+        y -= psi_new
+        if np.einsum("i,i", y, step) > 0.0:
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = psi_new + ((t - 1.0) / t_new) * step
+        np.multiply(step, (t - 1.0) / t_new, out=y)
+        y += psi_new
         psi, t = psi_new, t_new
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_gap(psi)
@@ -234,11 +257,9 @@ def _cluster_means(F, f, psi, joined):
 def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
     """L-BFGS on the smooth primal over all nodes: a clamped node starts at
     0 with zero gradient, so it stays there."""
-    graph = F.graph
+    graph, m, p = F.graph, F.measure, F.degree
     i_idx, j_idx, w = graph.edge_arrays
-    m = graph.node_measure
-    p = F.degree
-    _, conjugate, _ = _edge_dual(F, sigma)
+    _, conjugate, _, h = _edge_dual(F, sigma)
 
     def div_flow(u):
         # the flow sigma*w*|du|^(p-1)*sign(du) that is the gradient of
@@ -249,21 +270,18 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
 
     def objective(u):
         du, _, d = div_flow(u)
-        val = 0.5 * float(np.sum(m * (u - f) ** 2))
-        val += sigma / p * float(np.sum(w * np.abs(du) ** p))
-        return val, m * (u - f + d)
+        return _half_sq(u - f, m) + float(h(du).sum()), m * (u - f + d)
 
-    u = f
-    its = 0
-    ftol = 1e-14
+    u, its, ftol = f, 0, 1e-14
     for _ in range(6):
         res = minimize(objective, u, jac=True, method="L-BFGS-B",
                        options={"maxiter": max_iter, "ftol": ftol,
                                 "gtol": 1e-12, "maxcor": 20})
         u = res.x
         its += res.nit
-        _, phi, d = div_flow(u)
-        pval, gap = _fenchel_gap(F, f, sigma, u, d, conjugate(phi))
+        # against psi = phi, whose f - div(phi) misses u by u - f + d
+        du, phi, d = div_flow(u)
+        pval, gap = _fenchel_young(h, conjugate, phi, du, m, u - f, u - f + d)
         if gap <= tol * (1.0 + abs(pval)):
             return u, its, gap, True
         ftol *= 1e-2

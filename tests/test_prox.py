@@ -437,6 +437,119 @@ class TestPDirichletDual:
             assert a.gap == b.gap and a.converged
 
 
+def reference_gap(F, f, sigma, v, psi):
+    """P(v) - D(psi) with D(psi) = <f, d>_m - 0.5*||d||^2_m - h*(psi), d =
+    div(psi): the reference the kernel's Fenchel-Young gap equals in exact
+    arithmetic, with the P value it is relative to."""
+    m = F.measure
+    d = edgecalc.edge_div(psi, F.graph)
+    pval = 0.5 * nl.norm(v - f, m) ** 2 + sigma * nl.evaluate(F, v)
+    dval = (nl.inner(f, d, m) - 0.5 * nl.norm(d, m) ** 2
+            - prox_module._edge_dual(F, sigma)[1](psi))
+    return pval, pval - dval
+
+
+def kernel_gap(F, f, sigma, v, psi):
+    """P(v) and the gap of candidate v against psi as the dual kernel forms
+    them."""
+    _, hstar, _, h = prox_module._edge_dual(F, sigma)
+    i_idx, j_idx, _ = F.graph.edge_arrays
+    d = edgecalc.edge_div(psi, F.graph)
+    u, dv = f - d, edgecalc.edge_diff(v, i_idx, j_idx)
+    if np.array_equal(v, u):  # the kernel's u: no miss, and r = d
+        return prox_module._fenchel_young(h, hstar, psi, dv, F.measure, d)
+    return prox_module._fenchel_young(h, hstar, psi, dv, F.measure, v - f, v - u)
+
+
+def gap_graphs():
+    return [path_graph(3), path_graph(3, w=2.0, measure=[1.0, 0.5, 2.0]),
+            nl.build_grid_graph(nl.GridSpec(width=2, boundary_mode="dirichlet")),
+            nl.build_grid_graph(nl.GridSpec(width=5, height=4, spacing=0.5,
+                                            boundary_mode="dirichlet")),
+            nl.build_grid_graph(nl.GridSpec(width=6, height=5, spacing=0.5))]
+
+
+GAP_KINDS = [("graph_tv", None), ("dirichlet_p", 1.0), ("dirichlet_p", 1.5),
+             ("dirichlet_p", 3.0), ("lipschitz_sup", None)]
+
+
+class TestFenchelYoungGap:
+    """The dual kernel and L-BFGS certify by the edgewise Fenchel-Young form
+    sigma*J(v) + h*(psi) - <psi, Dv> + 0.5*||v - (f - div psi)||^2_m of the
+    gap P(v) - D(psi), which never subtracts a term of the size of f."""
+
+    @pytest.mark.parametrize("kind, p", GAP_KINDS)
+    def test_matches_primal_minus_dual(self, kind, p):
+        """At admissible flows psi of three sizes, for u = f - div(psi),
+        the cluster means of u and a random boundary-zero v."""
+        rng = np.random.default_rng(9)
+        for g in gap_graphs():
+            F = nl.make_functional(kind, g, p=p)
+            project, _, box, _ = prox_module._edge_dual(F, 0.4)
+            for scale in (0.01, 0.3, 3.0):
+                f = nl.core.clamp_boundary(F, rng.standard_normal(g.n))
+                psi = project(scale * rng.standard_normal(len(g.edge_arrays[0])))
+                u = f - edgecalc.edge_div(psi, g)
+                vs = [u, nl.core.clamp_boundary(F, rng.standard_normal(g.n))]
+                if box is not None:
+                    vs.append(prox_module._cluster_means(F, f, psi, np.abs(psi) < box))
+                for v in vs:
+                    pval, ref = reference_gap(F, f, 0.4, v, psi)
+                    pv, gap = kernel_gap(F, f, 0.4, v, psi)
+                    assert abs(pv - pval) <= 1e-12 * (1.0 + abs(pval)), (kind, p)
+                    assert abs(gap - ref) <= 1e-12 * (1.0 + abs(pval)), (kind, p)
+
+    @pytest.mark.parametrize("c", [1e8, 1e10, 1e12])
+    def test_constant_offset(self, c):
+        """prox(c + f) = c + prox(f) on a Neumann path.  At c = 1e8 and 1e10
+        the solve takes the iterations of c = 0, and u - c is prox(f) up to
+        the rounding of c + f; at c = 1e12 that rounding (1e-4) keeps the gap
+        above tol, and the solve says so."""
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(64)))
+        f = np.random.default_rng(0).standard_normal(64)
+        sigma = 0.1 * nl.prox_nonvanishing_bound(F, f)
+        ref = nl.prox(F, f, sigma, tol=1e-11)
+        if c < 1e12:
+            sol = nl.prox(F, c + f, sigma, tol=1e-11)
+            assert sol.converged and sol.iterations == ref.iterations
+            assert np.max(np.abs(sol.u - c - ref.u)) <= 1e-15 * c
+        else:
+            sol = nl.prox(F, c + f, sigma, tol=1e-11, max_iter=500)
+            assert not sol.converged and sol.iterations == 500
+        assert sol.gap >= 0.0
+
+    @pytest.mark.parametrize("kind, p", GAP_KINDS)
+    def test_no_aliasing(self, kind, p):
+        """prox never writes into its input, and a later call never writes
+        into the arrays an earlier one returned."""
+        rng = np.random.default_rng(10)
+        for g in gap_graphs()[2:]:
+            F = nl.make_functional(kind, g, p=p)
+            f = rng.standard_normal(g.n)
+            f_before = f.copy()
+            first = nl.prox(F, f, 0.3)
+            assert np.array_equal(f, f_before)
+            u, zeta = first.u.copy(), first.zeta.copy()
+            nl.prox(F, rng.standard_normal(g.n), 0.3)
+            nl.prox(F, first.u, 0.3)
+            assert np.array_equal(first.u, u) and np.array_equal(first.zeta, zeta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("graph_tv", 0), ("dirichlet_p", 1), ("graph_tv", 1)]),
+       st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 8.0), st.floats(0.05, 1.5))
+def test_box_kind_gap_never_negative_property(case, seed, log_scale, sigma):
+    """For the box kinds every edge term sigma*w_e*|du_e| - psi_e*du_e of
+    the gap is >= 0 after rounding too, at every input scale."""
+    kind, which = case
+    g = gap_graphs()[3 + which]
+    F = nl.make_functional(kind, g, p=1.0 if kind == "dirichlet_p" else None)
+    scale = 10.0 ** log_scale
+    f = scale * np.random.default_rng(seed).standard_normal(g.n)
+    sol = nl.prox(F, f, sigma * scale, tol=1e-13, max_iter=2000)
+    assert sol.gap >= 0.0
+
+
 class TestQuadraticProx:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(4)

@@ -101,12 +101,14 @@ def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
         t_acc = 0.0
         for k in range(1, max_steps + 1):
             # up to four attempts, halving the step before each retry; the step
-            # kept is the last solution's, with a warning if it is unconverged
+            # kept is the last solution's, with a warning if it is unconverged;
+            # each prox stops relative to dist0^2, its objective's unit, so
+            # the flow from s*f with prox_tol*s^2 takes the same iterations
             tau_k = tau
             for attempt in range(4):
                 if attempt:
                     tau_k *= 0.5
-                sol = prox(F, us[-1], tau_k, tol=prox_tol)
+                sol = prox(F, us[-1], tau_k, tol=prox_tol, scale=dist0 ** 2)
                 if sol.converged:
                     break
             else:

@@ -10,13 +10,18 @@ the edgewise maps):
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact sort-based projection onto the scaled dual l1 ball
   dirichlet_p      L-BFGS on the (smooth) primal for p >= 2
-  other graph      FISTA with adaptive restart on the dual edge-flow problem,
-  kinds            with an edgewise map after each step: the box at degree 1,
+  other graph      FISTA with momentum one and gradient restart on the dual
+  kinds            edge-flow problem (Liang, Luo & Schoenlieb, SIAM J. Sci.
+                   Comput. 2022; O'Donoghue & Candes, FoCM 2015), with an
+                   edgewise map after each step: the box at degree 1,
                    whose primal is also rounded to its clusters; the prox of
                    the power conjugate for 1 < p < 2; the weighted-l1 ball for
                    lipschitz_sup.  Both routes certify with the gap in its
                    Fenchel-Young form (`_fenchel_young`), edge by edge, so no
                    term of the size of f cancels and in the box none is < 0.
+Every route stops at gap <= tol*(1 + |P|/scale) (`_certified`), P the prox
+objective and scale a caller's unit of it: `run_flow` passes dist_0^2, so its
+flow from s*f with tol*s^2 takes the steps and iterations of the flow from f.
 
 The same solver answers the dual questions for every kind:
 `dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
@@ -56,25 +61,27 @@ class ProxSolution:
 
 
 def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
-         max_iter: int = MAX_ITER) -> ProxSolution:
+         max_iter: int = MAX_ITER, scale: float = 1.0) -> ProxSolution:
     if not sigma > 0:
         raise BadStep(f"prox step must be positive, got {sigma}")
     if not tol > 0:
         raise BadStep("tolerance must be positive")
+    if not scale > 0:
+        raise BadStep("objective scale must be positive")
     check_count("max_iter", max_iter)
     # Dirichlet nodes are clamped throughout: the minimization runs over
     # boundary-zero signals, so zeta = (f - u)/sigma vanishes on the boundary
     f = clamp_boundary(F, as_signal(f, F.dim))
-    u, its, gap, ok = _solve(F, f, sigma, tol, max_iter)
+    u, its, gap, ok = _solve(F, f, sigma, tol, max_iter, scale)
     return ProxSolution(u=u, zeta=(f - u) / sigma, iterations=its, gap=gap,
                         converged=ok)
 
 
-def _solve(F, f, sigma, tol, max_iter):
+def _solve(F, f, sigma, tol, max_iter, scale=1.0):
     """prox_{sigma J}(f) for a clamped f and checked arguments, as
     (u, iterations, gap, converged)."""
     if F.kind == "quadratic_form":
-        return _prox_quadratic(F, f, sigma, tol)
+        return _prox_quadratic(F, f, sigma, tol, scale)
     if F.kind == "l1":
         return np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0), 0, 0.0, True
     if F.kind == "linf":
@@ -83,11 +90,17 @@ def _solve(F, f, sigma, tol, max_iter):
     if F.kind not in GRAPH_KINDS:
         raise UnsupportedFunctional(F.kind)
     if F.kind == "dirichlet_p" and F.degree >= 2.0:
-        return _prox_dirichlet_smooth(F, f, sigma, tol, max_iter)
-    return _prox_dual_fista(F, f, sigma, tol, max_iter)
+        return _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale)
+    return _prox_dual_fista(F, f, sigma, tol, max_iter, scale)
 
 
-def _prox_quadratic(F, f, sigma, tol):
+def _certified(gap, pval, tol, scale):
+    """The stopping rule of every route, relative to the prox objective
+    P = pval in units of scale."""
+    return gap <= tol * (1.0 + abs(pval) / scale)
+
+
+def _prox_quadratic(F, f, sigma, tol, scale):
     """The exact solution of (M + sigma*A) u = M f in the m-orthonormal
     eigenbasis V of A v = lam*M v that `make_functional` stores:
     u = V (V^T M f) / (1 + sigma*lam).  Its residual r bounds the gap by
@@ -98,7 +111,7 @@ def _prox_quadratic(F, f, sigma, tol):
     r = m * (f - u) - sigma * (F.matrix @ u)
     gap = 0.5 * float(r @ r) / float(np.min(m))
     pval = 0.5 * norm(u - f, m) ** 2 + sigma * evaluate(F, u)
-    return u, 0, gap, gap <= tol * (1.0 + abs(pval))
+    return u, 0, gap, _certified(gap, pval, tol, scale)
 
 
 def _edge_dual(F, sigma):
@@ -163,14 +176,18 @@ def _half_sq(x, m):
     return 0.5 * float(np.einsum("i,i,i", m, x, x))
 
 
-def _prox_dual_fista(F, f, sigma, tol, max_iter):
-    """FISTA (Beck & Teboulle 2009) on min_psi 0.5*||div(psi) - f||^2_m +
-    sum_e h*_e(psi_e), with the edgewise prox of h*/L (`_edge_dual`)
-    after each gradient step of 1/L, L = graph.grad_div_opnorm >= the norm of
-    edge_diff o edge_div.  The momentum restarts when it points against the
-    step (O'Donoghue & Candes, FoCM 2015); every fifth iterate is tested by
-    the Fenchel-Young gap at u = f - div(psi).  The step writes only into
-    its own buffers, never into f or an array it returns.
+def _prox_dual_fista(F, f, sigma, tol, max_iter, scale):
+    """Accelerated forward-backward (Beck & Teboulle 2009) on min_psi
+    0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), with the edgewise prox of
+    h*/L (`_edge_dual`) after each gradient step of 1/L, L =
+    graph.grad_div_opnorm >= the norm of edge_diff o edge_div.  The momentum
+    is one, y = 2*psi_new - psi, the greedy scheme of Liang, Luo & Schoenlieb
+    (SIAM J. Sci. Comput. 2022), and drops to zero, y = psi_new, for the
+    next step when it points against the step: the gradient restart of
+    O'Donoghue & Candes (FoCM 2015).  The scheme has no O(1/k^2) bound of
+    its own; what makes an answer correct is the certificate: every fifth
+    iterate is tested by the Fenchel-Young gap at u = f - div(psi).  The step
+    writes only into its own buffers, never into f or an array it returns.
 
     For the box kinds a check may also try u rounded to its clusters
     (`_cluster_means`) and keep the candidate of smaller gap against the same
@@ -205,9 +222,8 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
         return u, pval, gap
 
     psi, y, step = (np.zeros(len(i_idx)) for _ in range(3))
-    best = primal_gap(psi)
+    best = None  # set by the check at its == max_iter at the latest
     L = graph.grad_div_opnorm
-    t = 1.0
     for its in range(1, max_iter + 1):
         r = edgecalc.edge_div(y, graph)
         r -= f
@@ -218,19 +234,18 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter):
         np.subtract(psi_new, psi, out=step)
         y -= psi_new
         if np.einsum("i,i", y, step) > 0.0:
-            t = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        np.multiply(step, (t - 1.0) / t_new, out=y)
-        y += psi_new
-        psi, t = psi_new, t_new
+            np.copyto(y, psi_new)
+        else:
+            np.add(psi_new, step, out=y)
+        psi = psi_new
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_gap(psi)
-            if gap <= tol * (1.0 + abs(pval)):
+            if _certified(gap, pval, tol, scale):
                 return u, its, gap, True
-            if gap < best[2]:
+            if best is None or gap < best[2]:
                 best = (u, pval, gap)
     u, pval, gap = best
-    return u, its, gap, gap <= tol * (1.0 + abs(pval))
+    return u, its, gap, _certified(gap, pval, tol, scale)
 
 
 def _cluster_means(F, f, psi, joined):
@@ -254,7 +269,7 @@ def _cluster_means(F, f, psi, joined):
     return mean[root]
 
 
-def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
+def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale=1.0):
     """L-BFGS on the smooth primal over all nodes: a clamped node starts at
     0 with zero gradient, so it stays there."""
     graph, m, p = F.graph, F.measure, F.degree
@@ -282,7 +297,7 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter):
         # against psi = phi, whose f - div(phi) misses u by u - f + d
         du, phi, d = div_flow(u)
         pval, gap = _fenchel_young(h, conjugate, phi, du, m, u - f, u - f + d)
-        if gap <= tol * (1.0 + abs(pval)):
+        if _certified(gap, pval, tol, scale):
             return u, its, gap, True
         ftol *= 1e-2
     return u, its, gap, False

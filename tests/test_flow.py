@@ -512,3 +512,28 @@ class TestExtinctionFloor:
             for name, w in worst.items():
                 assert worst_s[name] == pytest.approx(
                     s ** (2 - p) * w, rel=1e-8, abs=0.0), name
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("graph", [
+        path_graph(12), nl.build_grid_graph(nl.GridSpec(width=8, height=8)),
+    ], ids=["path12", "grid8x8"])
+    def test_prox_iterations_are_scale_free(self, graph, seed, monkeypatch):
+        """Each prox of the flow stops relative to dist_0^2, so the flow from
+        s*f with prox_tol*s^2 stops every prox at the iteration of the flow
+        from f."""
+        F = nl.make_functional("dirichlet_p", graph, p=1.5)
+        f = np.random.default_rng(seed).standard_normal(F.dim)
+        solve = flow_module.prox
+
+        def iterations(s):
+            its = []
+
+            def counted(*args, **kwargs):
+                sol = solve(*args, **kwargs)
+                its.append(sol.iterations)
+                return sol
+            monkeypatch.setattr(flow_module, "prox", counted)
+            nl.run_flow(F, s * f, prox_tol=1e-11 * s * s)
+            return its
+
+        assert iterations(1e-7) == iterations(1.0)

@@ -52,6 +52,8 @@ class TestProxExamples:
             nl.prox(F, [1.0], 0.0)
         with pytest.raises(errors.BadStep):
             nl.prox(F, [1.0], 0.5, tol=0.0)
+        with pytest.raises(errors.BadStep):
+            nl.prox(F, [1.0], 0.5, scale=0.0)
 
     def test_zeta_identity_exact(self):
         rng = np.random.default_rng(2)
@@ -203,17 +205,17 @@ class TestMaxIter:
 
     @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
     def test_spent_budget_returns_the_best_unconverged_iterate(self, kind):
-        """On a 16x16 grid at sigma = 0.5 the dual kernel needs 120
-        (graph_tv) and 40 (lipschitz_sup) iterations.  Stopped earlier it
+        """On a 16x16 grid at sigma = 2 the dual kernel needs 165
+        (graph_tv) and 50 (lipschitz_sup) iterations.  Stopped earlier it
         reports the budget and converged=False; its gap is the best over
         the checks it made, and a larger budget makes a superset of the
         same checks, so the gap cannot rise."""
         F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)))
         f = np.random.default_rng(0).standard_normal(F.dim)
         for max_iter in (7, 12):
-            sol = nl.prox(F, f, 0.5, max_iter=max_iter)
+            sol = nl.prox(F, f, 2.0, max_iter=max_iter)
             assert not sol.converged and sol.iterations == max_iter
-        gaps = [nl.prox(F, f, 0.5, max_iter=k).gap for k in (5, 10, 20)]
+        gaps = [nl.prox(F, f, 2.0, max_iter=k).gap for k in (5, 10, 20)]
         assert gaps[0] >= gaps[1] >= gaps[2] > 0.0
 
 
@@ -369,6 +371,13 @@ class TestPDirichletDual:
         f = np.random.default_rng(0).standard_normal(F.dim)
         sol = nl.prox(F, f, 0.01, tol=1e-8)
         assert sol.converged
+
+    def test_hard_case_converges_within_10000_iterations(self):
+        """p = 1.5 on the 32x32 grid with spacing 1/32 at sigma = 1e-2, a
+        hard case: the kernel converges in 7,030 iterations."""
+        F = pdirichlet_grid(1.5, width=32, spacing=1 / 32)
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        assert nl.prox(F, f, 1e-2, max_iter=10000).converged
 
     @pytest.mark.parametrize("boundary_mode", ["neumann", "dirichlet"])
     @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])

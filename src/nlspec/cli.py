@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -208,15 +207,21 @@ def build_input(cfg, F, seed, manifest):
 # the per-step FlowTrace columns of trace.csv, after the step index k
 TRACE_COLUMNS = ("t", "tau", "J", "dist", "Lambda", "zeta_norm",
                  "profile_residual")
+# the csv module's dialect, which trace.csv, eigen.csv and oracle.csv keep
+_CSV = {"delimiter": ",", "newline": "\r\n"}
+
+
+def _save(path, table, fmt, header="", **kw):
+    """A 2-D table as text through np.savetxt: one `fmt` per column, `header`
+    (if any) the first line as given; the same bytes on every platform."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, header=header, comments="", **kw)
 
 
 def write_trace_csv(path, trace):
     cols = [getattr(trace, name) for name in TRACE_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("k",) + TRACE_COLUMNS)
-        for k in range(len(trace.t)):
-            wr.writerow([k] + [_fmt(col[k]) for col in cols])
+    _save(path, np.column_stack([np.arange(len(trace.t))] + cols),
+          ["%d"] + [FMT] * len(cols), ",".join(("k",) + TRACE_COLUMNS), **_CSV)
 
 
 def write_signal(dirpath, name, values, grid_spec, manifest):
@@ -226,39 +231,25 @@ def write_signal(dirpath, name, values, grid_spec, manifest):
         rows, cols = grid_spec.lattice_shape
         vmin, vmax = float(np.min(values)), float(np.max(values))
         span = vmax - vmin
-        if span > 0:
-            pix = np.round((values - vmin) / span * 65535).astype(int)
-        else:
-            pix = np.zeros(len(values), dtype=int)
+        pix = np.round((values - vmin) / span * 65535).astype(int) if span > 0 \
+            else np.zeros(len(values), dtype=int)
         path = os.path.join(dirpath, name + ".pgm")
-        with open(path, "w") as fh:
-            fh.write(f"P2\n{cols} {rows}\n65535\n")
-            for r in range(rows):
-                fh.write(" ".join(str(v) for v in pix[r * cols:(r + 1) * cols]))
-                fh.write("\n")
+        _save(path, pix.reshape(rows, cols), "%d", f"P2\n{cols} {rows}\n65535")
         manifest["signal_scaling"][name + ".pgm"] = {
             "vmin": vmin, "vmax": vmax,
             "note": "value = vmin + pixel/65535 * (vmax - vmin)"}
         return path
     path = os.path.join(dirpath, name + ".txt")
-    with open(path, "w") as fh:
-        for i, v in enumerate(values):
-            fh.write(f"{i} {_fmt(v)}\n")
+    _save(path, np.column_stack([np.arange(len(values)), values]), ["%d", FMT])
     return path
 
 
 def write_eigen_csv(path, pairs):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["rank", "lambda", "mu", "sigma", "rayleigh", "residual",
-                     "euler_residual", "subgradient_gap", "oscillation",
-                     "converged"])
-        for idx, p in enumerate(pairs):
-            c = p.certificate
-            wr.writerow([idx, _fmt(p.lam), _fmt(p.mu), _fmt(p.sigma),
-                         _fmt(p.rayleigh), _fmt(p.residual),
-                         _fmt(c.euler_residual), _fmt(c.subgradient_gap),
-                         _fmt(p.oscillation), int(p.converged)])
+    _save(path, [(i, p.lam, p.mu, p.sigma, p.rayleigh, p.residual,
+                  p.certificate.euler_residual, p.certificate.subgradient_gap,
+                  p.oscillation, p.converged) for i, p in enumerate(pairs)],
+          ["%d"] + [FMT] * 8 + ["%d"], "rank,lambda,mu,sigma,rayleigh,residual,"
+          "euler_residual,subgradient_gap,oscillation,converged", **_CSV)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,6 @@ def cmd_run(args) -> int:
         if command == "decompose":
             dec = flow.decompose(trace)
             band_dir = os.path.join(out_dir, "bands")
-            os.makedirs(band_dir, exist_ok=True)
             for k, band in enumerate(dec["bands"], start=1):
                 write_signal(band_dir, f"band_{k:05d}", band, grid_spec, manifest)
             write_signal(band_dir, "nullspace_part", dec["nullspace_part"],
@@ -330,11 +320,9 @@ def cmd_run(args) -> int:
             for idx, pair in enumerate(out["all"]) if not pair.converged)
     elif command == "oracle":
         spec = oracle_spectrum(F)
-        with open(os.path.join(out_dir, "oracle.csv"), "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["index", "eigenvalue"])
-            for i, lam in enumerate(spec.eigenvalues):
-                wr.writerow([i, _fmt(lam)])
+        _save(os.path.join(out_dir, "oracle.csv"),
+              np.column_stack([np.arange(F.dim), spec.eigenvalues]), ["%d", FMT],
+              "index,eigenvalue", **_CSV)
         sig_dir = os.path.join(out_dir, "signals")
         for i in range(min(4, F.dim)):
             write_signal(sig_dir, f"eigenvector_{i}", spec.eigenvectors[:, i],
@@ -363,8 +351,8 @@ def cmd_validate(args) -> int:
 
 
 def _read_csv(path):
-    """Header and rows of floats; an unreadable file or a cell that is not a
-    number is an NlspecError."""
+    """Header and float array of a CSV table; an unreadable file or a row that
+    is not one number per header column is an NlspecError."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -372,13 +360,12 @@ def _read_csv(path):
         raise NlspecError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise NlspecError(f"{path}: empty CSV")
-    head = rows[0]
+    head, body = rows[0], rows[1:]
     try:
-        body = [[float(row[c]) for c in range(len(head))] for row in rows[1:]]
-    except (ValueError, IndexError) as exc:
+        return head, np.array(body, dtype=float).reshape(len(body), len(head))
+    except ValueError as exc:
         raise NlspecError(f"{path}: every row needs {len(head)} numbers: {exc}") \
             from exc
-    return head, body
 
 
 def _read_tols(path):
@@ -396,33 +383,25 @@ def _read_tols(path):
 
 def cmd_compare(args) -> int:
     tols = _read_tols(args.tol_file) if args.tol_file else {}
-    head_a, rows_a = _read_csv(args.a)
-    head_b, rows_b = _read_csv(args.b)
-    if head_a != head_b:
-        print(f"schema mismatch: {head_a} vs {head_b}")
+    head, a = _read_csv(args.a)
+    head_b, b = _read_csv(args.b)
+    if head != head_b:
+        print(f"schema mismatch: {head} vs {head_b}")
         return 2
-    if len(rows_a) != len(rows_b):
-        print(f"row count mismatch: {len(rows_a)} vs {len(rows_b)}")
+    if len(a) != len(b):
+        print(f"row count mismatch: {len(a)} vs {len(b)}")
         return 2
-    status = 0
-    worst = {}
-    for r, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        for c, col in enumerate(head_a):
-            va, vb = ra[c], rb[c]
-            if math.isnan(va) and math.isnan(vb):
-                continue
-            dev = abs(va - vb)
-            if col not in worst or dev > worst[col][0]:
-                worst[col] = (dev, r)
-            if dev > tols.get(col, 0.0):
-                print(f"mismatch at row {r} column {col!r}: "
-                      f"{_fmt(va)} vs {_fmt(vb)} (|diff| = {dev:.3e})")
-                status = 2
-    for col in head_a:
-        if col in worst:
-            print(f"column {col!r}: max |diff| = {worst[col][0]:.3e} "
-                  f"(row {worst[col][1]})")
-    return status
+    # equal cells (inf among them) and NaN against NaN deviate by 0; a NaN
+    # against a number is a NaN deviation, which no tolerance passes
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    dev = np.abs(np.subtract(a, b, out=np.zeros_like(a), where=~same))
+    bad = ~(dev <= [tols.get(col, 0.0) for col in head])
+    for r, c in zip(*np.nonzero(bad)):
+        print(f"mismatch at row {r} column {head[c]!r}: "
+              f"{_fmt(a[r, c])} vs {_fmt(b[r, c])} (|diff| = {dev[r, c]:.3e})")
+    for c, r in enumerate(np.argmax(dev, axis=0) if len(dev) else []):
+        print(f"column {head[c]!r}: max |diff| = {dev[r, c]:.3e} (row {r})")
+    return 2 if bad.any() else 0
 
 
 class _Parser(argparse.ArgumentParser):

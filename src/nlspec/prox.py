@@ -320,12 +320,13 @@ _CERT_TOL = 1e-12
 def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     """Is zeta within tol*(1 + ||zeta||_m) of K_J = dJ(0) = {z : <z,u> <=
     J(u) for all u}?  For one-homogeneous J only, where ||prox_J(zeta)||_m is
-    that distance; Dirichlet nodes carry no constraint."""
+    that distance; Dirichlet nodes carry no constraint.  An unconverged solve
+    certifies nothing: False."""
     if F.degree != 1:
         raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
     zeta = clamp_boundary(F, as_signal(zeta, F.dim))
-    u = _solve(F, zeta, 1.0, _CERT_TOL, MAX_ITER)[0]
-    return norm(u, F.measure) <= tol * (1.0 + norm(zeta, F.measure))
+    u, _, _, ok = _solve(F, zeta, 1.0, _CERT_TOL, MAX_ITER)
+    return ok and norm(u, F.measure) <= tol * (1.0 + norm(zeta, F.measure))
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,8 @@ class EigenCertificate:
     in dJ(w), and at most dist(zeta, dJ(w)) as the prox is nonexpansive; it
     reads the accuracy of its solve (tol 1e-12) in place of 0.  On a graph_tv
     (or p = 1) eigenvector, constant on clusters, the solve rounds to them
-    (`_prox_dual_fista`) and it reads exactly 0."""
+    (`_prox_dual_fista`) and it reads exactly 0.  An unconverged solve
+    certifies nothing: the gap reads inf."""
 
     euler_residual: float
     subgradient_gap: float
@@ -354,6 +356,7 @@ def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
         raise ZeroSignal("cannot certify the zero signal")
     zeta = lam * nw ** (F.degree - 2.0) * w
     sigma = 1.0 / lam if lam > 0 else 1.0
-    u = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma, _CERT_TOL,
-               MAX_ITER)[0]
-    return EigenCertificate(euler_residual(F, w, zeta), norm(u - w, m) / sigma)
+    u, _, _, ok = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma,
+                         _CERT_TOL, MAX_ITER)
+    return EigenCertificate(euler_residual(F, w, zeta),
+                            norm(u - w, m) / sigma if ok else math.inf)

@@ -496,6 +496,49 @@ class TestOracleRun:
         assert np.allclose(np.asarray(A) @ v, lams[0] * v, atol=1e-12)
 
 
+class TestArtifactFormats:
+    """The exact text of the artifacts that other tools read."""
+
+    def _run(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path / "c.yaml",
+                                             dict(cfg, output_dir=str(out)))]) == 0
+        return out
+
+    def test_decompose_on_a_2d_grid(self, tmp_path):
+        out = self._run(tmp_path, {
+            "functional": {"kind": "graph_tv"},
+            "domain": {"grid": {"width": 5, "height": 3}},
+            "input": {"generator": {"name": "gaussian", "seed": 1}},
+            "command": "decompose"})
+        lines = (out / "trace.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"k,t,tau,J,dist,Lambda,zeta_norm,profile_residual"
+        assert lines[-1] == b"" and not any(b"\n" in line for line in lines)
+        # the last step is extinct: its Lambda lies below the floor
+        assert lines[-2].split(b",")[5] == b"nan"
+        pgm = (out / "bands" / "band_00001.pgm").read_text()
+        assert pgm.startswith("P2\n5 3\n65535\n")
+        assert [len(row.split()) for row in pgm.splitlines()[3:]] == [5, 5, 5]
+
+    def test_power_on_a_path(self, tmp_path):
+        out = self._run(tmp_path, {
+            "functional": {"kind": "graph_tv"}, "domain": {"grid": {"width": 6}},
+            "command": "power", "options": {"restarts": 1}})
+        head = (out / "eigen.csv").read_bytes().split(b"\r\n")[0]
+        assert head == (b"rank,lambda,mu,sigma,rayleigh,residual,euler_residual,"
+                        b"subgradient_gap,oscillation,converged")
+
+    def test_oracle_on_a_path(self, tmp_path):
+        out = self._run(tmp_path, {
+            "functional": {"kind": "dirichlet_p", "p": 2.0},
+            "domain": {"grid": {"width": 5}}, "command": "oracle"})
+        assert (out / "oracle.csv").read_bytes().startswith(b"index,eigenvalue\r\n")
+        g = nl.build_grid_graph(nl.GridSpec(width=5))
+        v = nl.dense_symmetric_eigs(nl.laplacian_matrix(g)).eigenvectors[0, 1]
+        line = (out / "signals" / "eigenvector_1.txt").read_bytes().split(b"\n")[0]
+        assert line == b"0 %.17g" % v
+
+
 class TestExplicitGraph:
     def test_readme_domain_runs_oracle(self, tmp_path):
         out = tmp_path / "out"
@@ -592,7 +635,8 @@ class TestCompare:
     @pytest.mark.parametrize("text, message", [
         ("", "empty CSV"),
         ("x,y\n1,2\n3\n", "every row needs 2 numbers"),
-    ], ids=["empty", "short_row"])
+        ("x,y\n1,2,3\n", "every row needs 2 numbers"),
+    ], ids=["empty", "short_row", "long_row"])
     def test_unreadable_csv_is_one_error_line(self, text, message, tmp_path,
                                               capsys):
         bad = tmp_path / "bad.csv"
@@ -601,6 +645,20 @@ class TestCompare:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_nan_against_a_number_fails(self, first, tmp_path, capsys):
+        files = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+        files["a"].write_text("k,x\n0,nan\n")
+        files["b"].write_text("k,x\n0,1\n")
+        second = "b" if first == "a" else "a"
+        assert cli.main(["compare", str(files[first]), str(files[second])]) == 2
+        assert "mismatch at row 0 column 'x'" in capsys.readouterr().out
+
+    def test_nan_against_nan_passes(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("k,x\n0,nan\n")
+        assert cli.main(["compare", str(a), str(a)]) == 0
 
     def test_row_count_mismatch(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -219,6 +219,32 @@ class TestMaxIter:
         assert gaps[0] >= gaps[1] >= gaps[2] > 0.0
 
 
+class TestCertificatesFailClosed:
+    """A certificate solve that spends its budget, MAX_ITER read at call
+    time, certifies nothing."""
+
+    def test_unconverged_membership_is_false(self, monkeypatch):
+        """This zeta, the subgradient of a prox, lies in K_J.  Its membership
+        solve needs 265 iterations; from iteration 192 on its iterate is
+        already within the membership tolerance, uncertified."""
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(8, 8)))
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        zeta = nl.prox(F, f, 0.5).zeta
+        assert nl.dual_ball_membership(F, zeta)
+        monkeypatch.setattr(prox_module, "MAX_ITER", 200)
+        assert not nl.dual_ball_membership(F, zeta)
+
+    def test_unconverged_subgradient_gap_is_inf(self, monkeypatch):
+        """The +-1 step across an 8x8 grid is a graph_tv eigenvector."""
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(8, 8)))
+        w = np.where(np.arange(64) % 8 < 4, 1.0, -1.0)
+        lam = nl.rayleigh(F, w)
+        assert nl.eigen_certificate(F, w, lam).subgradient_gap == 0.0
+        monkeypatch.setattr(prox_module, "MAX_ITER", 20)
+        cert = nl.eigen_certificate(F, w, lam)
+        assert cert.subgradient_gap == np.inf and cert.euler_residual == 0.0
+
+
 class TestDirichletBoundaryClamping:
     def test_boundary_zeroed(self):
         g = nl.build_grid_graph(nl.GridSpec(width=3, boundary_mode="dirichlet"))

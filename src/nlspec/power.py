@@ -4,6 +4,19 @@ Iterates w_{k+1} = prox_{sigma_k J}(w_k) / ||prox_{sigma_k J}(w_k)||, with the
 step chosen as sigma_k = c/J(w_0) (constant rule) or c/J(w_k) (adaptive rule),
 0 < c < 1.  At a fixed point prox_sigma(w) = mu*w and the eigenvalue is
 lambda = (1 - mu) / (sigma * mu^{p-1}).
+
+The outer iteration needs only an inner error that shrinks with its own
+progress (inexact proximal point, Rockafellar, SIAM J. Control Optim. 1976;
+inner steps that only decrease the functional, Hein & Buehler, NIPS 2010), so
+solve k stops at gap max(PROX_TOL, resid_{k-1}/100), resid the fixed-point
+residual of the previous row.  The prox objective is 1-strongly convex, so
+the error in its output is at most sqrt(2*gap), about 15% of the step
+sqrt(2*resid/mu) that the previous solve took.  The first and the last solve
+run at PROX_TOL, and so does every solve after the residual reached tol.  A
+run stops only when its last solve and the solve that produced its w both ran
+at PROX_TOL, so every number it returns comes from exact solves.  A loose
+solve whose normalized output has J above J(w) is redone from w at PROX_TOL,
+as one more row of `history` with the same J.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from .core import (
 from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
 from .prox import EigenCertificate, eigen_certificate
 
-#: duality-gap tolerance of every prox solve of the power method
+#: duality-gap tolerance of the power method's first and last prox solve, of
+#: the final two solves of a converged run and of every redo of a loose solve
 PROX_TOL = 1e-13
 
 
@@ -43,9 +57,12 @@ class EigenPair:
     rayleigh: float        # p * J(w)
     residual: float        # ||prox_sigma(w) - mu*w||
     certificate: EigenCertificate  # eigen_certificate(F, w, lam)
-    history: list          # per prox call {"J", "residual", "sigma", "mu", "w_norm"}
+    history: list          # per prox call {"J", "residual", "sigma", "mu", "w_norm",
+                           # "prox_tol", "prox_iterations"}
     oscillation: float     # max pairwise distance over the last 10 iterates
-    converged: bool        # the residual reached tol and every prox solve converged
+    # the residual reached tol, every prox solve converged to the tolerance it
+    # was given, and the last two at PROX_TOL
+    converged: bool
 
 
 def power_method(F: FunctionalHandle, start, c: float = 0.9,
@@ -69,38 +86,51 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     if in_null:
         raise NullspaceStart("start vector lies in the nullspace")
     w = v / nv
+    Jw = evaluate(F, w)
     history = []
     recent = deque(maxlen=10)
     converged, solved = False, True  # solved: every prox solve converged
+    # w_exact: w is the start or the output of a solve at PROX_TOL
+    prox_tol, w_exact = PROX_TOL, True
     for k in range(max_iter):
-        if k:  # normalize the previous prox iterate
-            _, v, nv, in_null = split_nullspace(F, sol.u)
-            if in_null:
-                raise DegenerateEnergy("iterate collapsed into the nullspace")
-            w = v / nv
-            recent.append(w)
-        Jw = evaluate(F, w)
+        last = k == max_iter - 1
         if rule == "adaptive" or not k:
             if Jw <= 1e-300:  # keeps c/J(w) finite
                 raise DegenerateEnergy("J vanishes at the normalized iterate")
             sigma = c / Jw
-        sol = prox(F, w, sigma, tol=PROX_TOL)
+        if last:
+            prox_tol = PROX_TOL
+        sol = prox(F, w, sigma, tol=prox_tol)
         solved = solved and sol.converged
         mu = norm(sol.u, m)
         if mu <= NULLSPACE_TOL:  # relative to ||w||_m = 1
             raise DegenerateEnergy("prox iterate vanished (step too large)")
         resid = max(mu - inner(sol.u, w, m), 0.0)
         history.append({"J": Jw, "residual": resid, "sigma": sigma,
-                        "mu": mu, "w_norm": norm(w, m)})
-        if resid <= tol:
+                        "mu": mu, "w_norm": norm(w, m), "prox_tol": prox_tol,
+                        "prox_iterations": sol.iterations})
+        exact = prox_tol == PROX_TOL
+        if resid <= tol and exact and w_exact:
             converged = True
             break
+        if last:
+            break
+        _, v, nv, in_null = split_nullspace(F, sol.u)
+        if in_null:
+            raise DegenerateEnergy("iterate collapsed into the nullspace")
+        J_next = evaluate(F, v / nv)
+        if not exact and J_next > Jw:  # redo the loose solve from w
+            prox_tol = PROX_TOL
+            continue
+        w, Jw, w_exact = v / nv, J_next, exact
+        recent.append(w)
+        prox_tol = PROX_TOL if resid <= tol else max(PROX_TOL, resid / 100.0)
 
     mu = min(mu, 1.0)
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
     osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
-                     rayleigh=F.degree * evaluate(F, w),
+                     rayleigh=F.degree * Jw,
                      residual=norm(sol.u - mu * w, m),
                      certificate=eigen_certificate(F, w, lam),
                      history=history, oscillation=osc, converged=converged and solved)

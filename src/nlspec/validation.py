@@ -403,7 +403,8 @@ def check_flow_eigenvector_invariance():
 def check_power_invariants():
     rng = np.random.default_rng(51)
     cat = _catalog()
-    for name in ("graph_tv", "quadratic_form", "l1", "dirichlet_p_1.5"):
+    for name in ("graph_tv", "quadratic_form", "l1", "dirichlet_p_1.5",
+                 "lipschitz_sup"):
         F = cat[name]
         for rule in ("constant", "adaptive"):
             for c in (0.5, 0.9):

@@ -189,6 +189,53 @@ class TestPowerMethod:
         assert len(pair.history) >= 1
         assert pair.oscillation >= 0.0
 
+    def test_prox_tolerance_schedule(self, monkeypatch):
+        # criterion 3's graph and first start: the early solves run loose,
+        # the first and the final two at PROX_TOL
+        edgecalc = importlib.import_module("nlspec.edgecalc")
+        power_module = importlib.import_module("nlspec.power")
+        project = edgecalc.project_weighted_l1
+        certificate = power_module.eigen_certificate
+        kernel_its = []  # one weighted-l1 projection per dual kernel iteration
+
+        def counted(*args, **kwargs):
+            kernel_its.append(1)
+            return project(*args, **kwargs)
+
+        def uncounted(*args, **kwargs):  # the certificate's own solve
+            n = len(kernel_its)
+            out = certificate(*args, **kwargs)
+            del kernel_its[n:]
+            return out
+
+        monkeypatch.setattr(edgecalc, "project_weighted_l1", counted)
+        monkeypatch.setattr(power_module, "eigen_certificate", uncounted)
+        g = nl.build_grid_graph(nl.GridSpec(width=33, boundary_mode="dirichlet"))
+        F = nl.make_functional("lipschitz_sup", g)
+        g0 = np.random.default_rng(33).standard_normal(F.dim)
+        pair = nl.power_method(F, np.ones(F.dim) + 0.01 * g0, tol=1e-11,
+                               max_iter=4000)
+        assert pair.converged
+        tols = [h["prox_tol"] for h in pair.history]
+        exact = power_module.PROX_TOL
+        assert tols[0] == tols[-2] == tols[-1] == exact
+        assert max(tols) > exact
+        assert sum(h["prox_iterations"] for h in pair.history) == len(kernel_its)
+
+    @pytest.mark.parametrize("n", [4, 33])
+    @pytest.mark.parametrize("kind", ["lipschitz_sup", "graph_tv"])
+    def test_loose_solves_never_raise_J(self, kind, n):
+        # without the redo at PROX_TOL, loose solves raise J here by up to
+        # 3e-4 on lipschitz_sup
+        F = nl.make_functional(kind, path_graph(n))
+        for rule in ("constant", "adaptive"):
+            for seed in range(4):
+                start = np.random.default_rng(seed).standard_normal(n)
+                pair = nl.power_method(F, start, rule=rule, tol=1e-12,
+                                       max_iter=300)
+                Js = [h["J"] for h in pair.history]
+                assert max(np.diff(Js)) <= 1e-8 * (1.0 + Js[0])
+
 
 class TestGroundStateSearch:
     def test_quadratic_best_matches_oracle(self):

@@ -17,6 +17,16 @@ run stops only when its last solve and the solve that produced its w both ran
 at PROX_TOL, so every number it returns comes from exact solves.  A loose
 solve whose normalized output has J above J(w) is redone from w at PROX_TOL,
 as one more row of `history` with the same J.
+
+Each solve of a run starts the dual kernel from the previous solve's edge
+flow psi (`ProxSolution.psi`) times sigma_k/sigma_{k-1}: the optimal flow is
+sigma times a flow of the subgradient zeta, so it scales with the step; the
+constant rule keeps the factor 1.  Near a fixed point the input barely moves, so the confirming
+solves certify in a few checks.  A redo starts from the loose solve's psi.
+Every solve is still accepted only by its own gap, so the start changes how
+soon it certifies, not what.  The first solve of a run and the certificate's
+solve (`eigen_certificate`) start from zero, so a restart of
+`ground_state_search` carries nothing over.
 """
 
 from __future__ import annotations
@@ -92,15 +102,19 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     converged, solved = False, True  # solved: every prox solve converged
     # w_exact: w is the start or the output of a solve at PROX_TOL
     prox_tol, w_exact = PROX_TOL, True
+    psi = None  # the previous solve's dual flow, the next solve's start
     for k in range(max_iter):
         last = k == max_iter - 1
         if rule == "adaptive" or not k:
             if Jw <= 1e-300:  # keeps c/J(w) finite
                 raise DegenerateEnergy("J vanishes at the normalized iterate")
+            if psi is not None:
+                psi = psi * (c / Jw / sigma)
             sigma = c / Jw
         if last:
             prox_tol = PROX_TOL
-        sol = prox(F, w, sigma, tol=prox_tol)
+        sol = prox(F, w, sigma, tol=prox_tol, psi0=psi)
+        psi = sol.psi
         solved = solved and sol.converged
         mu = norm(sol.u, m)
         if mu <= NULLSPACE_TOL:  # relative to ||w||_m = 1

@@ -22,6 +22,12 @@ the edgewise maps):
 Every route stops at gap <= tol*(1 + |P|/scale) (`_certified`), P the prox
 objective and scale a caller's unit of it: `run_flow` passes dist_0^2, so its
 flow from s*f with tol*s^2 takes the steps and iterations of the flow from f.
+The dual kernel returns the edge flow psi of its certificate as
+`ProxSolution.psi` (None on the other routes), and starts from a caller's
+`psi0` in place of zero: `power_method` passes the previous solve's flow.
+The kernel copies the start and writes only into its own buffers, never
+into f, psi0 or an array it returns.  `run_flow`, `dual_ball_membership`
+and `eigen_certificate` start every solve from zero.
 
 The same solver answers the dual questions for every kind:
 `dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
@@ -42,8 +48,8 @@ from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
                    clamp_boundary, components, euler_residual, evaluate,
                    norm, split_nullspace)
-from .errors import (BadStep, NullspaceElement, UnsupportedFunctional,
-                     ZeroSignal)
+from .errors import (BadParams, BadStep, NullspaceElement,
+                     UnsupportedFunctional, ZeroSignal)
 
 #: iteration cap of every prox solve, the certificate solves' included
 MAX_ITER = 50000
@@ -58,10 +64,17 @@ class ProxSolution:
     iterations: int
     gap: float
     converged: bool
+    # the dual edge flow that certifies u with gap on the dual kernel's
+    # routes, else None
+    psi: np.ndarray | None
 
 
 def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
-         max_iter: int = MAX_ITER, scale: float = 1.0) -> ProxSolution:
+         max_iter: int = MAX_ITER, scale: float = 1.0,
+         psi0=None) -> ProxSolution:
+    """prox_{sigma J}(f).  `psi0`, an edge flow, starts the dual kernel in
+    place of psi = 0; the other routes ignore it.  It changes how soon the
+    solve certifies, not what: the answer is still accepted by its gap."""
     if not sigma > 0:
         raise BadStep(f"prox step must be positive, got {sigma}")
     if not tol > 0:
@@ -72,26 +85,27 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
     # Dirichlet nodes are clamped throughout: the minimization runs over
     # boundary-zero signals, so zeta = (f - u)/sigma vanishes on the boundary
     f = clamp_boundary(F, as_signal(f, F.dim))
-    u, its, gap, ok = _solve(F, f, sigma, tol, max_iter, scale)
+    u, its, gap, ok, psi = _solve(F, f, sigma, tol, max_iter, scale, psi0)
     return ProxSolution(u=u, zeta=(f - u) / sigma, iterations=its, gap=gap,
-                        converged=ok)
+                        converged=ok, psi=psi)
 
 
-def _solve(F, f, sigma, tol, max_iter, scale=1.0):
+def _solve(F, f, sigma, tol, max_iter, scale=1.0, psi0=None):
     """prox_{sigma J}(f) for a clamped f and checked arguments, as
-    (u, iterations, gap, converged)."""
+    (u, iterations, gap, converged, psi), psi None off the dual kernel."""
     if F.kind == "quadratic_form":
-        return _prox_quadratic(F, f, sigma, tol, scale)
+        return *_prox_quadratic(F, f, sigma, tol, scale), None
     if F.kind == "l1":
-        return np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0), 0, 0.0, True
+        return np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0), 0, 0.0, True, None
     if F.kind == "linf":
         m = F.measure
-        return f - edgecalc.project_weighted_l1(f, m, m, sigma), 0, 0.0, True
+        return (f - edgecalc.project_weighted_l1(f, m, m, sigma), 0, 0.0, True,
+                None)
     if F.kind not in GRAPH_KINDS:
         raise UnsupportedFunctional(F.kind)
     if F.kind == "dirichlet_p" and F.degree >= 2.0:
-        return _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale)
-    return _prox_dual_fista(F, f, sigma, tol, max_iter, scale)
+        return *_prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale), None
+    return _prox_dual_fista(F, f, sigma, tol, max_iter, scale, psi0)
 
 
 def _certified(gap, pval, tol, scale):
@@ -176,7 +190,7 @@ def _half_sq(x, m):
     return 0.5 * float(np.einsum("i,i,i", m, x, x))
 
 
-def _prox_dual_fista(F, f, sigma, tol, max_iter, scale):
+def _prox_dual_fista(F, f, sigma, tol, max_iter, scale, psi0=None):
     """Accelerated forward-backward (Beck & Teboulle 2009) on min_psi
     0.5*||div(psi) - f||^2_m + sum_e h*_e(psi_e), with the edgewise prox of
     h*/L (`_edge_dual`) after each gradient step of 1/L, L =
@@ -186,8 +200,10 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter, scale):
     next step when it points against the step: the gradient restart of
     O'Donoghue & Candes (FoCM 2015).  The scheme has no O(1/k^2) bound of
     its own; what makes an answer correct is the certificate: every fifth
-    iterate is tested by the Fenchel-Young gap at u = f - div(psi).  The step
-    writes only into its own buffers, never into f or an array it returns.
+    iterate is tested by the Fenchel-Young gap at u = f - div(psi).  It
+    starts from psi = y = psi0, copied, or from zero, and returns the psi of
+    its certificate with it.  The step writes only into its own buffers,
+    never into f, psi0 or an array it returns.
 
     For the box kinds a check may also try u rounded to its clusters
     (`_cluster_means`) and keep the candidate of smaller gap against the same
@@ -222,6 +238,12 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter, scale):
         return u, pval, gap
 
     psi, y, step = (np.zeros(len(i_idx)) for _ in range(3))
+    if psi0 is not None:
+        if np.shape(psi0) != psi.shape:
+            raise BadParams(f"psi0 needs one entry per edge ({len(psi)}), "
+                            f"got shape {np.shape(psi0)}")
+        psi[:] = psi0
+        y[:] = psi0
     best = None  # set by the check at its == max_iter at the latest
     L = graph.grad_div_opnorm
     for its in range(1, max_iter + 1):
@@ -241,11 +263,11 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter, scale):
         if its % 5 == 0 or its == max_iter:
             u, pval, gap = primal_gap(psi)
             if _certified(gap, pval, tol, scale):
-                return u, its, gap, True
+                return u, its, gap, True, psi
             if best is None or gap < best[2]:
-                best = (u, pval, gap)
-    u, pval, gap = best
-    return u, its, gap, _certified(gap, pval, tol, scale)
+                best = (u, pval, gap, psi)
+    u, pval, gap, psi = best
+    return u, its, gap, _certified(gap, pval, tol, scale), psi
 
 
 def _cluster_means(F, f, psi, joined):
@@ -325,7 +347,7 @@ def dual_ball_membership(F: FunctionalHandle, zeta, tol: float = 1e-9) -> bool:
     if F.degree != 1:
         raise UnsupportedFunctional("dual ball only defined for degree-1 functionals")
     zeta = clamp_boundary(F, as_signal(zeta, F.dim))
-    u, _, _, ok = _solve(F, zeta, 1.0, _CERT_TOL, MAX_ITER)
+    u, _, _, ok, _ = _solve(F, zeta, 1.0, _CERT_TOL, MAX_ITER)
     return ok and norm(u, F.measure) <= tol * (1.0 + norm(zeta, F.measure))
 
 
@@ -356,7 +378,7 @@ def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
         raise ZeroSignal("cannot certify the zero signal")
     zeta = lam * nw ** (F.degree - 2.0) * w
     sigma = 1.0 / lam if lam > 0 else 1.0
-    u, _, _, ok = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma,
-                         _CERT_TOL, MAX_ITER)
+    u, _, _, ok, _ = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma,
+                            _CERT_TOL, MAX_ITER)
     return EigenCertificate(euler_residual(F, w, zeta),
                             norm(u - w, m) / sigma if ok else math.inf)

@@ -11,6 +11,19 @@ from nlspec import errors
 from graphs import path_graph
 
 
+def record_prox_calls(monkeypatch):
+    """Patch nlspec.prox.prox to record (args, kwargs, solution) per call."""
+    prox_module = importlib.import_module("nlspec.prox")
+    prox, calls = prox_module.prox, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, prox(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(prox_module, "prox", recorded)
+    return calls
+
+
 class TestPowerMethod:
     def test_quadratic_path6_matches_dense_oracle(self):
         g = nl.build_grid_graph(nl.GridSpec(width=6))
@@ -26,20 +39,19 @@ class TestPowerMethod:
 
     def test_one_prox_call_per_iteration(self, monkeypatch):
         # converged or not, the fixed-point residual reuses the last prox call
-        prox_module = importlib.import_module("nlspec.prox")
-        calls = []
-        prox = prox_module.prox
-        monkeypatch.setattr(prox_module, "prox",
-                            lambda *a, **k: calls.append(1) or prox(*a, **k))
+        calls = record_prox_calls(monkeypatch)
         F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(width=5)))
         start = np.array([1.0, 0.2, -0.5, 0.3, -1.0])
-        for max_iter, extra in ((2000, 0), (2, 0)):
+        for max_iter in (2000, 2):
             calls.clear()
             pair = nl.power_method(F, start, max_iter=max_iter)
             assert pair.converged == (max_iter == 2000)
-            assert len(calls) == len(pair.history) + extra
-            v = prox(F, pair.w, pair.sigma, tol=1e-13).u
-            assert pair.residual == nl.core.norm(v - pair.mu * pair.w, F.measure)
+            assert len(calls) == len(pair.history)
+            (_, w, sigma), _, sol = calls[-1]
+            assert np.array_equal(w, pair.w) and sigma == pair.sigma
+            assert pair.mu == nl.norm(sol.u, F.measure) == pair.history[-1]["mu"]
+            assert pair.residual == nl.core.norm(sol.u - pair.mu * pair.w, F.measure)
+            assert pair.history[-1]["prox_iterations"] == sol.iterations
 
     @pytest.mark.parametrize("kind, p", [("graph_tv", None), ("dirichlet_p", 1.5)])
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -47,17 +59,15 @@ class TestPowerMethod:
                                                            max_iter, monkeypatch):
         # w, mu, sigma, lam, the residual and history[-1] once mixed the last
         # solved iterate with the next, unsolved one
-        prox_module = importlib.import_module("nlspec.prox")
-        calls = []
-        prox = prox_module.prox
-        monkeypatch.setattr(prox_module, "prox",
-                            lambda *a, **k: calls.append(1) or prox(*a, **k))
+        calls = record_prox_calls(monkeypatch)
         F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(width=5)), p=p)
         pair = nl.power_method(F, np.array([1.0, 0.2, -0.5, 0.3, -1.0]),
                                max_iter=max_iter)
         assert not pair.converged
         assert len(calls) == len(pair.history) == max_iter
-        v = prox(F, pair.w, pair.sigma, tol=1e-13).u
+        (_, w, sigma), _, sol = calls[-1]
+        assert np.array_equal(w, pair.w) and sigma == pair.sigma
+        v = sol.u
         mu = nl.norm(v, F.measure)
         assert pair.mu == mu
         assert pair.lam == pytest.approx(
@@ -235,6 +245,85 @@ class TestPowerMethod:
                                        max_iter=300)
                 Js = [h["J"] for h in pair.history]
                 assert max(np.diff(Js)) <= 1e-8 * (1.0 + Js[0])
+
+
+def criterion3_chain(rule, warm=True):
+    """Criterion 3's three power chains on the 33-node Dirichlet path, the
+    starts of ground_state_search(seed=33), with each prox solve started
+    from the previous solve's dual flow or, with warm=False, from zero."""
+    prox_module = importlib.import_module("nlspec.prox")
+    prox = prox_module.prox
+    F = nl.make_functional("lipschitz_sup", nl.build_grid_graph(
+        nl.GridSpec(width=33, boundary_mode="dirichlet")))
+    rng = np.random.default_rng(33)
+    starts = [rng.standard_normal(F.dim) for _ in range(3)]
+    starts[0] = np.ones(F.dim) + 0.01 * starts[0]
+    with pytest.MonkeyPatch.context() as mp:
+        if not warm:
+            mp.setattr(prox_module, "prox",
+                       lambda *a, psi0=None, **k: prox(*a, **k))
+        return [nl.power_method(F, s, rule=rule, tol=1e-11, max_iter=4000)
+                for s in starts]
+
+
+class TestDualWarmStart:
+    @pytest.mark.parametrize("rule", ["constant", "adaptive"])
+    def test_warm_chain_keeps_lambda_and_saves_iterations(self, rule):
+        """The same lambda to 1e-12, and fewer prox iterations in every
+        chain.  Under the constant rule the last solve, whose input is the
+        output of an exact solve of almost the same w, certifies within 30
+        iterations (cold: 145-230), and a chain takes at most 3/4 of the
+        cold iterations.  The adaptive rule moves w further per step, so its
+        last solves take 45-95 (cold: 215-225)."""
+        power_module = importlib.import_module("nlspec.power")
+        warm, cold = criterion3_chain(rule), criterion3_chain(rule, warm=False)
+        total = [sum(h["prox_iterations"] for h in p.history) for p in warm]
+        cold_total = [sum(h["prox_iterations"] for h in p.history) for p in cold]
+        for a, b, its, cold_its in zip(warm, cold, total, cold_total):
+            assert a.converged and b.converged
+            assert a.lam == pytest.approx(b.lam, rel=1e-12, abs=0.0)
+            assert a.history[-1]["prox_tol"] == power_module.PROX_TOL
+            last = a.history[-1]["prox_iterations"]
+            assert its < cold_its and last < b.history[-1]["prox_iterations"]
+            if rule == "constant":
+                assert last <= 30
+        if rule == "constant":
+            assert sum(total) <= 0.75 * sum(cold_total)
+
+    @pytest.mark.parametrize("rule", ["constant", "adaptive"])
+    def test_start_is_the_previous_flow_scaled_to_the_step(self, rule,
+                                                           monkeypatch):
+        calls = record_prox_calls(monkeypatch)
+        F = nl.make_functional("lipschitz_sup", path_graph(12))
+        start = np.random.default_rng(5).standard_normal(12)
+        pair = nl.power_method(F, start, rule=rule, tol=1e-12)
+        assert pair.converged and len(calls) > 3
+        assert calls[0][1]["psi0"] is None
+        ratios = []
+        for (prev_args, _, prev), (args, kwargs, _) in zip(calls, calls[1:]):
+            ratios.append(args[2] / prev_args[2])
+            assert np.array_equal(kwargs["psi0"], prev.psi * ratios[-1])
+        assert (max(ratios) == min(ratios) == 1.0) == (rule == "constant")
+
+    def test_restarts_certificates_and_flows_start_cold(self, monkeypatch):
+        prox_module = importlib.import_module("nlspec.prox")
+        kernel, starts = prox_module._prox_dual_fista, []
+
+        def recorded(*args):
+            starts.append(args[6] if len(args) > 6 else None)
+            return kernel(*args)
+
+        monkeypatch.setattr(prox_module, "_prox_dual_fista", recorded)
+        F = nl.make_functional("graph_tv", path_graph(6))
+        out = nl.ground_state_search(F, restarts=2, seed=3)
+        # per chain: a cold first solve, warm ones, then a cold certificate
+        cold = [k for k, psi0 in enumerate(starts) if psi0 is None]
+        assert len(cold) == 4 and cold[0] == 0 and cold[-1] == len(starts) - 1
+        assert sum(len(p.history) for p in out["all"]) == len(starts) - 2
+        starts.clear()
+        nl.run_flow(F, np.arange(6.0), tau=0.1, max_steps=5)
+        nl.dual_ball_membership(F, np.array([0.5, -0.5, 0.0, 0.2, -0.2, 0.0]))
+        assert starts and all(psi0 is None for psi0 in starts)
 
 
 class TestGroundStateSearch:

@@ -555,8 +555,8 @@ class TestFenchelYoungGap:
 
     @pytest.mark.parametrize("kind, p", GAP_KINDS)
     def test_no_aliasing(self, kind, p):
-        """prox never writes into its input, and a later call never writes
-        into the arrays an earlier one returned."""
+        """prox never writes into its input or its start, and a later call
+        never writes into the arrays an earlier one returned."""
         rng = np.random.default_rng(10)
         for g in gap_graphs()[2:]:
             F = nl.make_functional(kind, g, p=p)
@@ -564,10 +564,84 @@ class TestFenchelYoungGap:
             f_before = f.copy()
             first = nl.prox(F, f, 0.3)
             assert np.array_equal(f, f_before)
-            u, zeta = first.u.copy(), first.zeta.copy()
+            saved = [a.copy() for a in (first.u, first.zeta, first.psi)
+                     if a is not None]
             nl.prox(F, rng.standard_normal(g.n), 0.3)
-            nl.prox(F, first.u, 0.3)
-            assert np.array_equal(first.u, u) and np.array_equal(first.zeta, zeta)
+            nl.prox(F, first.u, 0.3, psi0=first.psi)
+            nl.prox(F, f, 0.3, psi0=first.psi)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (first.u, first.zeta, first.psi), saved))
+
+
+WITNESS_KINDS = [("graph_tv", None), ("lipschitz_sup", None), ("dirichlet_p", 1.5)]
+WITNESS_GRIDS = [nl.GridSpec(width=16, height=16),
+                 nl.GridSpec(width=16, height=16, boundary_mode="dirichlet"),
+                 nl.GridSpec(width=33, boundary_mode="dirichlet")]
+
+
+def witness_case(kind, p, spec):
+    """F, a clamped Gaussian f and sigma = half the bound of
+    `prox_nonvanishing_bound`: 15 to 100 cold kernel iterations."""
+    F = nl.make_functional(kind, nl.build_grid_graph(spec), p=p)
+    f = nl.core.clamp_boundary(F, np.random.default_rng(3).standard_normal(F.dim))
+    return F, f, 0.5 * nl.prox_nonvanishing_bound(F, f)
+
+
+class TestDualWitness:
+    """ProxSolution.psi is the dual edge flow of the certificate a solve
+    returns, and a start psi0 of the dual kernel moves only how soon a solve
+    certifies."""
+
+    @pytest.mark.parametrize("spec", WITNESS_GRIDS, ids=["neumann16", "dirichlet16",
+                                                         "path33"])
+    @pytest.mark.parametrize("kind, p", WITNESS_KINDS)
+    def test_psi_certifies_the_gap(self, kind, p, spec):
+        F, f, sigma = witness_case(kind, p, spec)
+        sol = nl.prox(F, f, sigma)
+        assert sol.converged and sol.psi.shape == F.graph.edge_arrays[2].shape
+        w = F.graph.edge_arrays[2]
+        if kind == "graph_tv":
+            assert np.all(np.abs(sol.psi) <= sigma * w)
+        elif kind == "lipschitz_sup":
+            assert np.sum(np.abs(sol.psi) / w) <= sigma * (1.0 + 1e-15)
+        assert kernel_gap(F, f, sigma, sol.u, sol.psi)[1] == sol.gap
+
+    def test_no_psi_off_the_dual_kernel(self):
+        for name, F in catalog3().items():
+            sol = nl.prox(F, [1.0, -0.5, 0.2], 0.3, psi0=np.ones(2))
+            assert (sol.psi is None) == (name in ("dirichlet_3", "l1", "linf",
+                                                  "quadratic_form")), name
+
+    @pytest.mark.parametrize("kind, p", WITNESS_KINDS)
+    def test_converged_start_certifies_at_first_check(self, kind, p):
+        for spec in WITNESS_GRIDS:
+            F, f, sigma = witness_case(kind, p, spec)
+            sol = nl.prox(F, f, sigma)
+            assert sol.iterations > 5
+            again = nl.prox(F, f, sigma, psi0=sol.psi)
+            assert again.converged and again.iterations == 5
+
+    @pytest.mark.parametrize("kind, p", WITNESS_KINDS)
+    def test_far_start_reaches_the_cold_answer(self, kind, p):
+        """A start far outside the dual's domain still converges, to within
+        the certified distance sqrt(2*gap) of each answer from the exact
+        prox (the prox objective is 1-strongly convex in the m-norm)."""
+        rng = np.random.default_rng(4)
+        for spec in WITNESS_GRIDS:
+            F, f, sigma = witness_case(kind, p, spec)
+            cold = nl.prox(F, f, sigma)
+            start = 1e6 * rng.standard_normal(len(cold.psi))
+            before = start.copy()
+            far = nl.prox(F, f, sigma, psi0=start)
+            assert np.array_equal(start, before)
+            assert far.converged
+            assert nl.norm(far.u - cold.u, F.measure) <= (
+                np.sqrt(2.0 * far.gap) + np.sqrt(2.0 * cold.gap))
+
+    def test_start_needs_one_entry_per_edge(self):
+        F = catalog3()["graph_tv"]
+        with pytest.raises(errors.BadParams, match="one entry per edge"):
+            nl.prox(F, [1.0, -0.5, 0.2], 0.3, psi0=np.ones(3))
 
 
 @settings(max_examples=40, deadline=None)

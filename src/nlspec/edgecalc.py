@@ -112,38 +112,43 @@ def power_root(rho, c, q: float):
 
 
 def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
-                        radius: float) -> np.ndarray:
+                        radius: float, t: float = 0.0) -> tuple:
     """Projection of g onto {x : sum_i a_i |x_i| <= radius} in the metric
-    sum_i b_i (x_i - g_i)^2, by exact breakpoint search (no iteration).
-
-    The minimizer has the form x_i = sign(g_i) * max(|g_i| - t*a_i/b_i, 0)
-    for the unique multiplier t >= 0 saturating the constraint.
+    sum_i b_i (x_i - g_i)^2, and its multiplier, as (x, t): Newton's method
+    from `t` (Michelot, JOTA 1986; Condat, Math. Program. 2016) on
+    phi(t) = sum_i a_i max(|g_i| - t*c_i, 0) = radius, c = a/b, and then
+    x_i = sign(g_i) * max(|g_i| - t*c_i, 0).  phi is convex, decreasing and
+    piecewise linear, so the first step lands at or left of the root, then
+    the active set {|g_i| > t*c_i} shrinks until the step is exact, within
+    n + 1 steps; sets at two t are nested, so equal counts mean equal sets.
+    A start whose set has no a_i*c_i restarts at 0; radius 0 gives (0, inf).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     absg = np.abs(g)
     ag = a * absg
     if float(ag.sum()) <= radius:
-        return g.copy()
+        return g.copy(), 0.0
     if radius == 0.0:
-        return np.zeros_like(g)
+        return np.zeros_like(g), np.inf
     c = a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # breakpoints: coordinate i leaves the active set at t = |g_i| / c_i
-        bp = np.where(c > 0, absg / c, np.inf)
-        order = bp.argsort()
-        bp_o = bp[order]
-        # suffix sums over the coordinates active for t in [bp_{k-1}, bp_k]
-        s1 = ag[order][::-1].cumsum()[::-1]  # sum a|g| over active
-        s2 = (a * c)[order][::-1].cumsum()[::-1]  # sum a*c over active
-        t = (s1 - radius) / s2
-    # s2 adds up a*c = a^2/b >= 0 from the end, so it is positive exactly on
-    # the candidates before the active set empties; the first admissible
-    # candidate among them is the multiplier
-    t_prev = np.concatenate(([0.0], bp_o[:-1]))
-    ok = (s2 > 0) & (t_prev <= t) & (t <= bp_o + 1e-15)
-    k = int(ok.argmax())
-    if not ok[k]:
-        # numerically all mass must be removed
-        return np.zeros_like(g)
-    return np.sign(g) * np.maximum(absg - t[k] * c, 0.0)
+    ac = a * c
+    # t*c can overflow for a far start, absg/t cannot
+    active = absg / t > c if t > 1.0 else absg > t * c
+    count = np.count_nonzero(active)
+    for k in range(len(g) + 1):
+        s2 = float(ac[active].sum())
+        if s2 == 0.0:
+            if k > 0:  # rounding put t past every breakpoint
+                break
+            t, active = 0.0, absg > 0.0
+            count = np.count_nonzero(active)
+            continue
+        t = (float(ag[active].sum()) - radius) / s2
+        tc = t * c
+        active = absg > tc
+        count, last = np.count_nonzero(active), count
+        # after the first step a larger count is rounding at the root
+        if count == last or (k > 0 and count > last):
+            break
+    return np.copysign(np.maximum(absg - tc, 0.0), g), t

@@ -8,7 +8,7 @@ Routes by kind and degree, chosen only here (`_solve`, and `_edge_dual` for
 the edgewise maps):
   quadratic_form   exact spectral filter in the stored eigenbasis
   l1               coordinate-wise soft threshold (measure cancels)
-  linf             exact sort-based projection onto the scaled dual l1 ball
+  linf             exact projection onto the scaled dual l1 ball by Newton
   dirichlet_p      L-BFGS on the (smooth) primal for p >= 2
   other graph      FISTA with momentum one and gradient restart on the dual
   kinds            edge-flow problem (Liang, Luo & Schoenlieb, SIAM J. Sci.
@@ -16,9 +16,10 @@ the edgewise maps):
                    edgewise map after each step: the box at degree 1,
                    whose primal is also rounded to its clusters; the prox of
                    the power conjugate for 1 < p < 2; the weighted-l1 ball for
-                   lipschitz_sup.  Both routes certify with the gap in its
-                   Fenchel-Young form (`_fenchel_young`), edge by edge, so no
-                   term of the size of f cancels and in the box none is < 0.
+                   lipschitz_sup, by Newton from the solve's last multiplier.
+                   Both routes certify with the gap in its Fenchel-Young form
+                   (`_fenchel_young`), edge by edge, so no term of the size of
+                   f cancels and in the box none is < 0.
 Every route stops at gap <= tol*(1 + |P|/scale) (`_certified`), P the prox
 objective and scale a caller's unit of it: `run_flow` passes dist_0^2, so its
 flow from s*f with tol*s^2 takes the steps and iterations of the flow from f.
@@ -98,9 +99,8 @@ def _solve(F, f, sigma, tol, max_iter, scale=1.0, psi0=None):
     if F.kind == "l1":
         return np.sign(f) * np.maximum(np.abs(f) - sigma, 0.0), 0, 0.0, True, None
     if F.kind == "linf":
-        m = F.measure
-        return (f - edgecalc.project_weighted_l1(f, m, m, sigma), 0, 0.0, True,
-                None)
+        x, _ = edgecalc.project_weighted_l1(f, F.measure, F.measure, sigma)
+        return f - x, 0, 0.0, True, None
     if F.kind not in GRAPH_KINDS:
         raise UnsupportedFunctional(F.kind)
     if F.kind == "dirichlet_p" and F.degree >= 2.0:
@@ -134,7 +134,8 @@ def _edge_dual(F, sigma):
 
     - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
       `_prox_dual_fista` applies after each gradient step: the projection
-      onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), onto the box
+      onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), from the multiplier
+      of the map's last call (a map serves one solve), onto the box
       |psi_e| <= sigma*w_e (degree 1), or for degree p > 1
       `edgecalc.prox_power_conjugate` with
       h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
@@ -150,9 +151,13 @@ def _edge_dual(F, sigma):
     """
     w = F.graph.edge_arrays[2]
     if F.kind == "lipschitz_sup":
-        inv_w, ones = 1.0 / w, np.ones_like(w)
-        return (lambda psi: edgecalc.project_weighted_l1(psi, inv_w, ones, sigma),
-                lambda psi: 0.0, None,
+        inv_w, ones, t = 1.0 / w, np.ones_like(w), 0.0
+
+        def project(psi):
+            nonlocal t
+            x, t = edgecalc.project_weighted_l1(psi, inv_w, ones, sigma, t)
+            return x
+        return (project, lambda psi: 0.0, None,
                 lambda du: sigma * np.max(w * np.abs(du), initial=0.0))
     a = sigma * w
     if F.degree > 1.0:

@@ -131,6 +131,21 @@ def load_config(path: str) -> dict:
         cfg["options"] = _walk(raw["options"], OPTIONS[cfg["command"]], "options")
     if "input" in cfg and len(cfg["input"]) != 1:
         raise ConfigError("input: give exactly one of values/file/generator")
+    # make_functional reads p only for dirichlet_p, matrix only for
+    # quadratic_form and n only for l1/linf; a graph kind, or l1/linf on a
+    # domain, takes its measure from the graph
+    kind = cfg["functional"]["kind"]
+    graph_measure = kind in core.GRAPH_KINDS or (kind in core.VECTOR_KINDS
+                                                 and "domain" in cfg)
+    unused = {"p": kind != "dirichlet_p", "matrix": kind != "quadratic_form",
+              "n": graph_measure or kind == "quadratic_form",
+              "node_measure": graph_measure}
+    for key in unused:
+        if unused[key] and key in cfg["functional"]:
+            why = ("takes its measure from the domain"
+                   if graph_measure and key in ("n", "node_measure")
+                   else "does not use it")
+            raise ConfigError(f"functional.{key}: {kind} {why}")
     return cfg
 
 

@@ -231,13 +231,10 @@ def evaluate_batch(F: FunctionalHandle, U: np.ndarray) -> np.ndarray:
     V = clamp_boundary(F, U.T)
     i_idx, j_idx, w = F.graph.edge_arrays
     D = np.abs(edgecalc.edge_diff(V, i_idx, j_idx)).T
-    if F.kind == "graph_tv":
-        return np.sum(w * D, axis=-1)
-    if F.kind == "dirichlet_p":
-        return np.sum(w * D ** F.degree, axis=-1) / F.degree
     if F.kind == "lipschitz_sup":
-        return np.max(w * D, axis=-1) if len(w) else np.zeros(U.shape[:-1])
-    raise UnsupportedFunctional(F.kind)
+        return np.max(w * D, axis=-1, initial=0.0)
+    # graph_tv is dirichlet_p at p = 1, where D ** 1.0 / 1.0 is D exactly
+    return np.sum(w * D ** F.degree, axis=-1) / F.degree
 
 
 def nullspace_basis(F: FunctionalHandle) -> np.ndarray:

@@ -121,7 +121,8 @@ def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     piecewise linear, so the first step lands at or left of the root, then
     the active set {|g_i| > t*c_i} shrinks until the step is exact, within
     n + 1 steps; sets at two t are nested, so equal counts mean equal sets.
-    A start whose set has no a_i*c_i restarts at 0; radius 0 gives (0, inf).
+    A start whose set has no a_i*c_i restarts at 0; radius 0 gives t = inf
+    and x_i = 0 where a_i > 0, else g_i.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -129,8 +130,8 @@ def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     ag = a * absg
     if float(ag.sum()) <= radius:
         return g.copy(), 0.0
-    if radius == 0.0:
-        return np.zeros_like(g), np.inf
+    if radius == 0.0:  # the a_i = 0 coordinates are not constrained
+        return np.where(a > 0, 0.0, g), np.inf
     c = a / b
     ac = a * c
     # t*c can overflow for a far start, absg/t cannot

@@ -135,6 +135,27 @@ MALFORMED = {
     "oracle_without_matrix": ({"command": "oracle", "domain": MISSING,
                                "functional": {"kind": "l1", "n": 3},
                                "options": MISSING}, {}, "not l1"),
+    # functional keys the kind does not read: J was computed without them
+    "graph_tv_p": ({"functional": {"kind": "graph_tv", "p": 3.0,
+                                   "node_measure": [5, 5, 5, 5, 5, 5]}}, {},
+                   "functional.p"),  # J at p = 1 with the grid's measure
+    "graph_tv_node_measure": ({"functional": {"kind": "graph_tv",
+                                              "node_measure": [5] * 6}}, {},
+                              "functional.node_measure"),
+    "lipschitz_n": ({"functional": {"kind": "lipschitz_sup", "n": 6}}, {},
+                    "functional.n"),
+    "l1_on_domain_node_measure": ({"functional": {"kind": "l1",
+                                                  "node_measure": [5] * 6}}, {},
+                                  "functional.node_measure"),
+    "l1_p": ({"domain": MISSING, "functional": {"kind": "l1", "n": 6,
+                                                "p": 2.0}}, {}, "functional.p"),
+    "dirichlet_p_matrix": ({"functional": {"kind": "dirichlet_p", "p": 2.0,
+                                           "matrix": [[1.0]]}}, {},
+                           "functional.matrix"),
+    "quadratic_form_n": ({"domain": MISSING,
+                          "functional": {"kind": "quadratic_form",
+                                         "matrix": [[1.0]], "n": 1}}, {},
+                         "functional.n"),
 }
 
 
@@ -176,6 +197,21 @@ class TestFrontDoor:
         rc, err = self._run(tmp_path, capsys, **overrides)
         assert rc == 1 and err.startswith("error:")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("functional, domain", [
+        ({"kind": "dirichlet_p", "p": 1.5}, {"grid": {"width": 6}}),
+        ({"kind": "l1", "n": 6}, MISSING),
+        ({"kind": "linf", "node_measure": [1, 2, 3, 4, 5, 6]}, MISSING),
+        ({"kind": "l1"}, {"grid": {"width": 6}}),
+        ({"kind": "quadratic_form", "matrix": np.eye(6).tolist(),
+          "node_measure": [1, 2, 3, 4, 5, 6]}, MISSING),
+    ], ids=["dirichlet_p", "l1_n", "linf_node_measure", "l1_on_domain",
+            "quadratic_form_node_measure"])
+    def test_functional_keys_the_kind_reads(self, functional, domain,
+                                            tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, functional=functional,
+                            domain=domain, options={"max_steps": 3})
+        assert rc == 0, err
 
     def test_store_iterates_is_not_an_option(self, tmp_path, capsys):
         # the flow always keeps its iterates

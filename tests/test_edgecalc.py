@@ -12,7 +12,7 @@ def project_weighted_l1_loop(g, a, b, radius):
     if float(np.sum(a * absg)) <= radius:
         return g.copy()
     if radius == 0.0:
-        return np.zeros_like(g)
+        return np.where(a > 0, 0.0, g)
     c = a / b
     bp = np.where(c > 0, absg / np.where(c > 0, c, 1.0), np.inf)
     order = np.argsort(bp)
@@ -134,6 +134,15 @@ class TestProjectWeightedL1:
             got, s = edgecalc.project_weighted_l1(g, a, b, radius, t0)
             assert got.tolist() == x
             assert s == t
+
+    def test_radius_0_is_the_limit_of_small_radii(self):
+        # the a_i = 0 coordinate keeps g_i, at radius 0 as at any radius > 0
+        g, a, b = np.array([5.0, 1.0]), np.array([0.0, 1.0]), np.ones(2)
+        at_0, t0 = edgecalc.project_weighted_l1(g, a, b, 0.0)
+        near_0, t1 = edgecalc.project_weighted_l1(g, a, b, 1e-300)
+        assert at_0.tolist() == near_0.tolist() == [5.0, 0.0]
+        assert (t0, t1) == (np.inf, 1.0)
+        assert project_weighted_l1_loop(g, a, b, 0.0).tolist() == [5.0, 0.0]
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import ast
+import heapq
 import math
 from pathlib import Path
 
@@ -139,7 +140,62 @@ class TestLinearHeatSolution:
             nl.linear_heat_solution(spec, np.zeros(2), -0.1)
 
 
+def distance_transform_heap(graph):
+    """Label-setting shortest paths with a binary heap over adjacency lists:
+    the reference for `oracles.distance_transform`."""
+    adj = [[] for _ in range(graph.n)]
+    for (i, j, w) in graph.edges:
+        length = 1.0 / w
+        adj[i].append((j, length))
+        adj[j].append((i, length))
+    dist = np.full(graph.n, np.inf)
+    heap = []
+    for b in graph.boundary:
+        dist[b] = 0.0
+        heapq.heappush(heap, (0.0, b))
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for (nb, length) in adj[node]:
+            nd = d + length
+            if nd < dist[nb]:
+                dist[nb] = nd
+                heapq.heappush(heap, (nd, nb))
+    return dist
+
+
+def random_weighted_graph(rng):
+    """A connected graph of 2-40 nodes: a random tree plus random extra
+    edges, weights U(0.2, 3), and 1-3 boundary nodes."""
+    n = int(rng.integers(2, 41))
+    order = rng.permutation(n)
+    pairs = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
+             for k in range(1, n)}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        i, j = rng.choice(n, 2, replace=False)
+        pairs.add((int(min(i, j)), int(max(i, j))))
+    edges = [(i, j, float(rng.uniform(0.2, 3.0))) for (i, j) in sorted(pairs)]
+    boundary = rng.choice(n, int(rng.integers(1, min(3, n) + 1)), replace=False)
+    return nl.WeightedGraph(n=n, edges=edges, boundary=boundary.tolist())
+
+
 class TestDistanceTransform:
+    def test_matches_heap_reference_on_random_graphs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            g = random_weighted_graph(rng)
+            got = nl.distance_transform(g)
+            assert got.tobytes() == distance_transform_heap(g).tobytes()
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_matches_heap_reference_on_dirichlet_grids(self, width):
+        g = nl.build_grid_graph(nl.GridSpec(width=width, height=width,
+                                            spacing=1.0 / width,
+                                            boundary_mode="dirichlet"))
+        got = nl.distance_transform(g)
+        assert got.tobytes() == distance_transform_heap(g).tobytes()
+
     def test_1d_dirichlet_width3(self):
         g = nl.build_grid_graph(nl.GridSpec(width=3, boundary_mode="dirichlet"))
         d = nl.distance_transform(g)

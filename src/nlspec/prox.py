@@ -9,7 +9,9 @@ the edgewise maps):
   quadratic_form   exact spectral filter in the stored eigenbasis
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact projection onto the scaled dual l1 ball by Newton
-  dirichlet_p      L-BFGS on the (smooth) primal for p >= 2
+  dirichlet_p      L-BFGS on the (smooth) primal for p >= 2; `minimize`
+                   imports scipy.optimize on the first such solve, and no
+                   other route loads it
   other graph      FISTA with momentum one and gradient restart on the dual
   kinds            edge-flow problem (Liang, Luo & Schoenlieb, SIAM J. Sci.
                    Comput. 2022; O'Donoghue & Candes, FoCM 2015), with an
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
@@ -296,6 +297,13 @@ def _cluster_means(F, f, psi, joined):
     return mean[root]
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first L-BFGS solve so that
+    no other route pays for loading it."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
 def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale=1.0):
     """L-BFGS on the smooth primal over all nodes: a clamped node starts at
     0 with zero gradient, so it stays there."""
@@ -316,8 +324,9 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale=1.0):
 
     u, its, ftol = f, 0, 1e-14
     for _ in range(6):
+        # the passes share one budget of max_iter iterations
         res = minimize(objective, u, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter, "ftol": ftol,
+                       options={"maxiter": max_iter - its, "ftol": ftol,
                                 "gtol": 1e-12, "maxcor": 20})
         u = res.x
         its += res.nit
@@ -326,6 +335,8 @@ def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale=1.0):
         pval, gap = _fenchel_young(h, conjugate, phi, du, m, u - f, u - f + d)
         if _certified(gap, pval, tol, scale):
             return u, its, gap, True
+        if its >= max_iter:
+            break
         ftol *= 1e-2
     return u, its, gap, False
 

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,20 +207,34 @@ class TestMaxIter:
         F = nl.make_functional("graph_tv", path_graph(4))
         assert nl.prox(F, np.arange(4.0), 0.1, max_iter=np.int64(500)).converged
 
-    @pytest.mark.parametrize("kind", ["graph_tv", "lipschitz_sup"])
-    def test_spent_budget_returns_the_best_unconverged_iterate(self, kind):
+    @pytest.mark.parametrize("kind, p", [("graph_tv", None),
+                                         ("lipschitz_sup", None),
+                                         ("dirichlet_p", 3.0)],
+                             ids=["graph_tv", "lipschitz_sup", "dirichlet_p"])
+    def test_spent_budget_returns_the_best_unconverged_iterate(self, kind, p):
         """On a 16x16 grid at sigma = 2 the dual kernel needs 165
-        (graph_tv) and 50 (lipschitz_sup) iterations.  Stopped earlier it
-        reports the budget and converged=False; its gap is the best over
-        the checks it made, and a larger budget makes a superset of the
-        same checks, so the gap cannot rise."""
-        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)))
+        (graph_tv) and 50 (lipschitz_sup) iterations, and L-BFGS 31
+        (dirichlet_p, p = 3).  Stopped earlier a route reports the budget
+        and converged=False, its ftol passes sharing one budget.  The dual
+        kernel's gap is the best over the checks it made, and a larger
+        budget makes a superset of the same checks, so the gap cannot rise.
+        L-BFGS returns its last iterate, whose gap may rise; a larger budget
+        extends the same descent, so its prox objective cannot."""
+        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)),
+                               p=p)
         f = np.random.default_rng(0).standard_normal(F.dim)
         for max_iter in (7, 12):
             sol = nl.prox(F, f, 2.0, max_iter=max_iter)
             assert not sol.converged and sol.iterations == max_iter
-        gaps = [nl.prox(F, f, 2.0, max_iter=k).gap for k in (5, 10, 20)]
-        assert gaps[0] >= gaps[1] >= gaps[2] > 0.0
+        sols = [nl.prox(F, f, 2.0, max_iter=k) for k in (5, 10, 20)]
+        if kind == "dirichlet_p":
+            objective = [0.5 * np.sum(F.measure * (s.u - f) ** 2)
+                         + 2.0 * nl.evaluate(F, s.u) for s in sols]
+            assert objective[0] >= objective[1] >= objective[2]
+            assert all(s.gap > 0.0 for s in sols)
+        else:
+            gaps = [s.gap for s in sols]
+            assert gaps[0] >= gaps[1] >= gaps[2] > 0.0
 
 
 class TestCertificatesFailClosed:
@@ -687,3 +705,35 @@ class TestLbfgsRoute:
         assert abs(gap) <= 1e-12 * (1.0 + pval)
         assert np.all(u[~F.graph.interior_mask] == 0.0)
         assert np.any(u[F.graph.interior_mask] != 0.0)
+
+    def test_fresh_interpreter_loads_the_optimizer_on_first_use(self):
+        """Only an L-BFGS solve imports scipy.optimize, and the solve it
+        runs from a fresh interpreter matches this process's bit for bit.
+        The suite's own process cannot see this: it has run L-BFGS."""
+        heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg",
+                 "scipy.sparse.csgraph"]
+        script = f"""
+import sys
+import numpy as np
+import nlspec as nl, nlspec.cli
+g = nl.build_grid_graph(nl.GridSpec(6, 5))
+f = np.random.default_rng(2).standard_normal(g.n)
+for kind, p in (("graph_tv", None), ("lipschitz_sup", None),
+                ("dirichlet_p", 1.5)):
+    assert nl.prox(nl.make_functional(kind, g, p=p), f, 0.3).converged
+print([name for name in {heavy!r} if name in sys.modules])
+sol = nl.prox(nl.make_functional("dirichlet_p", g, p=3.0), f, 0.3)
+print("scipy.optimize" in sys.modules, sol.converged, sol.u.tobytes().hex())
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded, after = out.stdout.splitlines()
+        assert loaded == "[]"
+        g = nl.build_grid_graph(nl.GridSpec(6, 5))
+        f = np.random.default_rng(2).standard_normal(g.n)
+        u = nl.prox(nl.make_functional("dirichlet_p", g, p=3.0), f, 0.3).u
+        assert after == f"True True {u.tobytes().hex()}"

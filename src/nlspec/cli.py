@@ -290,6 +290,8 @@ def cmd_run(args) -> int:
     }
     graph, grid_spec = build_domain(cfg)
     F = build_functional(cfg, graph)
+    if graph is not None and F.dim != graph.n:
+        raise ConfigError(f"functional.matrix: {F.dim} rows, {graph.n} nodes")
     command = cfg["command"]
     status = 0
 

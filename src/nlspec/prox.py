@@ -9,9 +9,8 @@ the edgewise maps):
   quadratic_form   exact spectral filter in the stored eigenbasis
   l1               coordinate-wise soft threshold (measure cancels)
   linf             exact projection onto the scaled dual l1 ball by Newton
-  dirichlet_p      L-BFGS on the (smooth) primal for p >= 2; `minimize`
-                   imports scipy.optimize on the first such solve, and no
-                   other route loads it
+  dirichlet_p      Newton's method on the (smooth) primal for p >= 2, each
+                   step by conjugate gradients on the edge kernels (`minimize`)
   other graph      FISTA with momentum one and gradient restart on the dual
   kinds            edge-flow problem (Liang, Luo & Schoenlieb, SIAM J. Sci.
                    Comput. 2022; O'Donoghue & Candes, FoCM 2015), with an
@@ -22,9 +21,10 @@ the edgewise maps):
                    Both routes certify with the gap in its Fenchel-Young form
                    (`_fenchel_young`), edge by edge, so no term of the size of
                    f cancels and in the box none is < 0.
-Every route stops at gap <= tol*(1 + |P|/scale) (`_certified`), P the prox
-objective and scale a caller's unit of it: `run_flow` passes dist_0^2, so its
-flow from s*f with tol*s^2 takes the steps and iterations of the flow from f.
+Every route stops at |gap| + 2^-52*|P| <= tol*(1 + |P|/scale) (`_certified`),
+since a gap <= 0 is rounding, P the prox objective and scale a caller's unit
+of it: `run_flow` passes dist_0^2, so its flow from s*f with tol*s^2 takes
+the steps and iterations of the flow from f.
 The dual kernel returns the edge flow psi of its certificate as
 `ProxSolution.psi` (None on the other routes), and starts from a caller's
 `psi0` in place of zero: `power_method` passes the previous solve's flow.
@@ -55,6 +55,8 @@ from .errors import (BadParams, BadStep, NullspaceElement,
 
 #: iteration cap of every prox solve, the certificate solves' included
 MAX_ITER = 50000
+#: `minimize`'s largest CG forcing term and Armijo's constant
+_FORCING, _ARMIJO = 0.25, 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class ProxSolution:
     u: np.ndarray
     zeta: np.ndarray  # (f - u) / sigma, a subgradient at u when converged
     # dual FISTA iterations (graph_tv, lipschitz_sup, dirichlet_p with
-    # p < 2), L-BFGS iterations (dirichlet_p with p >= 2), or 0
+    # p < 2), Newton steps (dirichlet_p with p >= 2), or 0
     iterations: int
     gap: float
     converged: bool
@@ -105,14 +107,13 @@ def _solve(F, f, sigma, tol, max_iter, scale=1.0, psi0=None):
     if F.kind not in GRAPH_KINDS:
         raise UnsupportedFunctional(F.kind)
     if F.kind == "dirichlet_p" and F.degree >= 2.0:
-        return *_prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale), None
+        return *minimize(F, f, sigma, tol, max_iter, scale), None
     return _prox_dual_fista(F, f, sigma, tol, max_iter, scale, psi0)
 
 
 def _certified(gap, pval, tol, scale):
-    """The stopping rule of every route, relative to the prox objective
-    P = pval in units of scale."""
-    return gap <= tol * (1.0 + abs(pval) / scale)
+    """The stopping rule of every route (module docstring), P = pval."""
+    return abs(gap) + 2.0 ** -52 * abs(pval) <= tol * (1.0 + abs(pval) / scale)
 
 
 def _prox_quadratic(F, f, sigma, tol, scale):
@@ -297,48 +298,56 @@ def _cluster_means(F, f, psi, joined):
     return mean[root]
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first L-BFGS solve so that
-    no other route pays for loading it."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
-
-
-def _prox_dirichlet_smooth(F, f, sigma, tol, max_iter, scale=1.0):
-    """L-BFGS on the smooth primal over all nodes: a clamped node starts at
-    0 with zero gradient, so it stays there."""
-    graph, m, p = F.graph, F.measure, F.degree
-    i_idx, j_idx, w = graph.edge_arrays
+def minimize(F, f, sigma, tol, max_iter, scale=1.0):
+    """Newton's method on the smooth primal (dirichlet_p, p >= 2), as
+    (u, steps, gap, converged).  The m-gradient of P is g = u - f + div(phi),
+    phi = sigma*w*|du|^(p-1)*sign(du), so phi certifies u with miss g.  A step
+    solves H s = -g, H v = v + div((p-1)*sigma*w*|du|^(p-2)*Dv), by CG in the
+    m-inner product to ||r|| <= min(1/4, ||g||^(1/2))*||g|| (Eisenstat &
+    Walker, SIAM J. Sci. Comput. 1996); div is 0 on a clamped node, so g and s
+    are too, and u stays 0 there.  The step is halved until Armijo's rule holds
+    for the change of P, summed edge by edge; a step whose predicted decrease
+    rounds away against P ends the solve, unconverged."""
+    m, p, (i_idx, j_idx, w) = F.measure, F.degree, F.graph.edge_arrays
     _, conjugate, _, h = _edge_dual(F, sigma)
 
-    def div_flow(u):
-        # the flow sigma*w*|du|^(p-1)*sign(du) that is the gradient of
-        # sigma*J at u, and its divergence
-        du = edgecalc.edge_diff(u, i_idx, j_idx)
-        phi = sigma * w * np.abs(du) ** (p - 1.0) * np.sign(du)
-        return du, phi, edgecalc.edge_div(phi, graph)
+    def dot(x, y):
+        return float(np.einsum("i,i,i", m, x, y))
 
-    def objective(u):
-        du, _, d = div_flow(u)
-        return _half_sq(u - f, m) + float(h(du).sum()), m * (u - f + d)
-
-    u, its, ftol = f, 0, 1e-14
-    for _ in range(6):
-        # the passes share one budget of max_iter iterations
-        res = minimize(objective, u, jac=True, method="L-BFGS-B",
-                       options={"maxiter": max_iter - its, "ftol": ftol,
-                                "gtol": 1e-12, "maxcor": 20})
-        u = res.x
-        its += res.nit
-        # against psi = phi, whose f - div(phi) misses u by u - f + d
-        du, phi, d = div_flow(u)
-        pval, gap = _fenchel_young(h, conjugate, phi, du, m, u - f, u - f + d)
-        if _certified(gap, pval, tol, scale):
-            return u, its, gap, True
-        if its >= max_iter:
+    u, du = f, edgecalc.edge_diff(f, i_idx, j_idx)
+    for its in range(max_iter + 1):
+        a = sigma * w * np.abs(du) ** (p - 2.0)
+        g = u - f + edgecalc.edge_div(a * du, F.graph)
+        pval, gap = _fenchel_young(h, conjugate, a * du, du, m, u - f, g)
+        if _certified(gap, pval, tol, scale) or its == max_iter:
             break
-        ftol *= 1e-2
-    return u, its, gap, False
+        c, s, r, d = (p - 1.0) * a, np.zeros(len(f)), -g, -g
+        rr = dot(g, g)
+        target = min(_FORCING, rr ** 0.25) ** 2 * rr
+        for _ in range(len(f)):
+            if rr <= target:
+                break
+            dc = c * edgecalc.edge_diff(d, i_idx, j_idx)
+            hd = d + edgecalc.edge_div(dc, F.graph)
+            alpha = rr / dot(d, hd)
+            s += alpha * d
+            r -= alpha * hd
+            rr, last = dot(r, r), rr
+            d = r + (rr / last) * d
+        # P(u + t*s) - P(u) = t*lin + t^2*quad/2 + the change of sigma*J
+        slope, lin, quad, hu = dot(g, s), dot(u - f, s), dot(s, s), h(du)
+        t = 1.0
+        while pval + t * slope < pval:
+            v = u + t * s
+            dv = edgecalc.edge_diff(v, i_idx, j_idx)
+            change = t * lin + 0.5 * t * t * quad + float((h(dv) - hu).sum())
+            if change <= _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        u, du = v, dv
+    return u, its, gap, _certified(gap, pval, tol, scale)
 
 
 def prox_nonvanishing_bound(F: FunctionalHandle, f) -> float:

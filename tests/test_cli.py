@@ -156,6 +156,10 @@ MALFORMED = {
                           "functional": {"kind": "quadratic_form",
                                          "matrix": [[1.0]], "n": 1}}, {},
                          "functional.n"),
+    "quadratic_form_size": ({"domain": {"grid": {"width": 4, "height": 4}},
+                             "functional": {"kind": "quadratic_form",
+                                            "matrix": np.eye(3).tolist()}}, {},
+                            "functional.matrix"),  # ValueError after the run
 }
 
 

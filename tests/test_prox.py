@@ -197,8 +197,8 @@ class TestMaxIter:
                              ids=["dual", "lbfgs"])
     def test_rejects_non_positive_or_fractional(self, kind, p, max_iter):
         # unchecked, the dual loop's range() raises a bare TypeError at 2.5
-        # and leaves its counter unbound at max_iter <= 0, and L-BFGS ignores
-        # max_iter <= 0
+        # and leaves its counter unbound at max_iter <= 0 (the id lbfgs keeps
+        # its name: it is the p >= 2 route, now Newton's method)
         F = nl.make_functional(kind, path_graph(4), p=p)
         with pytest.raises(errors.BadParams):
             nl.prox(F, np.arange(4.0), 0.1, max_iter=max_iter)
@@ -207,26 +207,29 @@ class TestMaxIter:
         F = nl.make_functional("graph_tv", path_graph(4))
         assert nl.prox(F, np.arange(4.0), 0.1, max_iter=np.int64(500)).converged
 
-    @pytest.mark.parametrize("kind, p", [("graph_tv", None),
-                                         ("lipschitz_sup", None),
-                                         ("dirichlet_p", 3.0)],
-                             ids=["graph_tv", "lipschitz_sup", "dirichlet_p"])
-    def test_spent_budget_returns_the_best_unconverged_iterate(self, kind, p):
+    @pytest.mark.parametrize("kind, p, short, nested", [
+        ("graph_tv", None, (7, 12), (5, 10, 20)),
+        ("lipschitz_sup", None, (7, 12), (5, 10, 20)),
+        ("dirichlet_p", 3.0, (3, 6), (2, 4, 8))],
+        ids=["graph_tv", "lipschitz_sup", "dirichlet_p"])
+    def test_spent_budget_returns_the_best_unconverged_iterate(self, kind, p,
+                                                               short, nested):
         """On a 16x16 grid at sigma = 2 the dual kernel needs 165
-        (graph_tv) and 50 (lipschitz_sup) iterations, and L-BFGS 31
-        (dirichlet_p, p = 3).  Stopped earlier a route reports the budget
-        and converged=False, its ftol passes sharing one budget.  The dual
-        kernel's gap is the best over the checks it made, and a larger
-        budget makes a superset of the same checks, so the gap cannot rise.
-        L-BFGS returns its last iterate, whose gap may rise; a larger budget
-        extends the same descent, so its prox objective cannot."""
+        (graph_tv) and 50 (lipschitz_sup) iterations, and Newton's method 9
+        steps (dirichlet_p, p = 3).  Stopped earlier a route reports the
+        budget and converged=False.  The dual kernel's gap is the best over
+        the checks it made, and a larger budget makes a superset of the same
+        checks, so the gap cannot rise.  Newton's method returns its last
+        iterate, whose gap may rise; a larger budget extends the same
+        descent, and Armijo's rule only takes steps that lower the prox
+        objective, so the objective cannot rise."""
         F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)),
                                p=p)
         f = np.random.default_rng(0).standard_normal(F.dim)
-        for max_iter in (7, 12):
+        for max_iter in short:
             sol = nl.prox(F, f, 2.0, max_iter=max_iter)
             assert not sol.converged and sol.iterations == max_iter
-        sols = [nl.prox(F, f, 2.0, max_iter=k) for k in (5, 10, 20)]
+        sols = [nl.prox(F, f, 2.0, max_iter=k) for k in nested]
         if kind == "dirichlet_p":
             objective = [0.5 * np.sum(F.measure * (s.u - f) ** 2)
                          + 2.0 * nl.evaluate(F, s.u) for s in sols]
@@ -261,6 +264,24 @@ class TestCertificatesFailClosed:
         monkeypatch.setattr(prox_module, "MAX_ITER", 20)
         cert = nl.eigen_certificate(F, w, lam)
         assert cert.subgradient_gap == np.inf and cert.euler_residual == 0.0
+
+    @pytest.mark.parametrize("kind, p", [("dirichlet_p", 1.5),
+                                         ("dirichlet_p", 2.0),
+                                         ("dirichlet_p", 3.0),
+                                         ("lipschitz_sup", None)])
+    def test_rounding_gap_certifies_no_tolerance(self, kind, p):
+        """On a 16x16 grid at sigma = 0.5 these solves reach gaps of the size
+        of rounding, some below 0 (-3.6e-15 at p = 1.5, -2.2e-16 for
+        lipschitz_sup) and some exactly 0; read as gap <= tol, each certified
+        at tol = 1e-300.  The dual kernel spends its budget; Newton's method
+        stops once a step's decrease rounds away against the objective."""
+        F = nl.make_functional(kind, nl.build_grid_graph(nl.GridSpec(16, 16)),
+                               p=p)
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        sol = nl.prox(F, f, 0.5, tol=1e-300, max_iter=3000)
+        assert not sol.converged and abs(sol.gap) < 1e-13
+        newton = kind == "dirichlet_p" and p >= 2
+        assert sol.iterations < 50 if newton else sol.iterations == 3000
 
 
 class TestDirichletBoundaryClamping:
@@ -407,8 +428,43 @@ def pdirichlet_grid(p, boundary_mode="neumann", width=16, spacing=1.0):
     return nl.make_functional("dirichlet_p", g, p=p)
 
 
+def lbfgs_prox(F, f, sigma, tol=1e-12, max_iter=50000):
+    """prox_{sigma J}(f) for dirichlet_p by scipy's L-BFGS-B on the primal,
+    an independent reference for both production routes, as (u, converged):
+    the gap of the flow phi = sigma*w*|du|^(p-1)*sign(du) checked after each
+    pass of a falling ftol."""
+    from scipy.optimize import minimize
+    graph, m, p = F.graph, F.measure, F.degree
+    i_idx, j_idx, w = graph.edge_arrays
+    _, conjugate, _, h = prox_module._edge_dual(F, sigma)
+
+    def div_flow(u):
+        du = edgecalc.edge_diff(u, i_idx, j_idx)
+        phi = sigma * w * np.abs(du) ** (p - 1.0) * np.sign(du)
+        return du, phi, edgecalc.edge_div(phi, graph)
+
+    def objective(u):
+        du, _, d = div_flow(u)
+        pval = 0.5 * np.sum(m * (u - f) ** 2) + float(h(du).sum())
+        return pval, m * (u - f + d)
+
+    u, ftol = f, 1e-14
+    for _ in range(6):
+        u = minimize(objective, u, jac=True, method="L-BFGS-B",
+                     options={"maxiter": max_iter, "ftol": ftol,
+                              "gtol": 1e-12, "maxcor": 20}).x
+        du, phi, d = div_flow(u)
+        pval, gap = prox_module._fenchel_young(h, conjugate, phi, du, m,
+                                               u - f, u - f + d)
+        if prox_module._certified(gap, pval, tol, 1.0):
+            return u, True
+        ftol *= 1e-2
+    return u, False
+
+
 class TestPDirichletDual:
-    """dirichlet_p with 1 < p < 2 takes the dual kernel; p >= 2 L-BFGS."""
+    """dirichlet_p with 1 < p < 2 takes the dual kernel; p >= 2 Newton's
+    method."""
 
     def test_converges_on_128_grid(self):
         F = pdirichlet_grid(1.5, width=128, spacing=1 / 128)
@@ -424,12 +480,14 @@ class TestPDirichletDual:
         assert nl.prox(F, f, 1e-2, max_iter=10000).converged
 
     @pytest.mark.parametrize("boundary_mode", ["neumann", "dirichlet"])
-    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 2.0, 3.0])
     def test_matches_lbfgs_route(self, p, boundary_mode):
+        """Both production routes, the dual kernel (p < 2) and Newton's
+        method (p >= 2), against L-BFGS on 16x16 grids, where it converges."""
         F = pdirichlet_grid(p, boundary_mode)
         f = nl.core.clamp_boundary(F, np.random.default_rng(1).standard_normal(F.dim))
         sol = nl.prox(F, f, 0.1, tol=1e-12)
-        u, _, _, ok = prox_module._prox_dirichlet_smooth(F, f, 0.1, 1e-12, 50000)
+        u, ok = lbfgs_prox(F, f, 0.1)
         assert sol.converged and ok
         assert nl.norm(sol.u - u, F.measure) <= 1e-6 * nl.norm(u, F.measure)
 
@@ -442,8 +500,9 @@ class TestPDirichletDual:
         assert sol.converged and np.isfinite(sol.gap)
 
     def test_route_by_p(self, monkeypatch):
-        """Each graph kind takes one route, by kind and degree: L-BFGS, or
-        the dual kernel with one edgewise map; an unknown kind has none."""
+        """Each graph kind takes one route, by kind and degree: Newton's
+        method, or the dual kernel with one edgewise map; an unknown kind has
+        none."""
         calls = []
 
         def counted(module, name):
@@ -527,9 +586,10 @@ GAP_KINDS = [("graph_tv", None), ("dirichlet_p", 1.0), ("dirichlet_p", 1.5),
 
 
 class TestFenchelYoungGap:
-    """The dual kernel and L-BFGS certify by the edgewise Fenchel-Young form
-    sigma*J(v) + h*(psi) - <psi, Dv> + 0.5*||v - (f - div psi)||^2_m of the
-    gap P(v) - D(psi), which never subtracts a term of the size of f."""
+    """The dual kernel and Newton's method certify by the edgewise
+    Fenchel-Young form sigma*J(v) + h*(psi) - <psi, Dv> +
+    0.5*||v - (f - div psi)||^2_m of the gap P(v) - D(psi), which never
+    subtracts a term of the size of f."""
 
     @pytest.mark.parametrize("kind, p", GAP_KINDS)
     def test_matches_primal_minus_dual(self, kind, p):
@@ -693,12 +753,12 @@ class TestQuadraticProx:
             assert np.linalg.norm(sol.u - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
-class TestLbfgsRoute:
+class TestNewtonRoute:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_clamped_nodes_stay_zero(self, p):
         F = pdirichlet_grid(p, "dirichlet", width=8)
         f = nl.core.clamp_boundary(F, np.random.default_rng(5).standard_normal(F.dim))
-        u, its, gap, ok = prox_module._prox_dirichlet_smooth(F, f, 0.5, 1e-12, 50000)
+        u, its, gap, ok = prox_module.minimize(F, f, 0.5, 1e-12, 50000)
         assert ok and its > 0
         # the gap subtracts h*: without it the gap of the optimum is -(p-1)*sigma*J
         pval = 0.5 * nl.norm(u - f, F.measure) ** 2 + 0.5 * nl.evaluate(F, u)
@@ -706,10 +766,20 @@ class TestLbfgsRoute:
         assert np.all(u[~F.graph.interior_mask] == 0.0)
         assert np.any(u[F.graph.interior_mask] != 0.0)
 
-    def test_fresh_interpreter_loads_the_optimizer_on_first_use(self):
-        """Only an L-BFGS solve imports scipy.optimize, and the solve it
-        runs from a fresh interpreter matches this process's bit for bit.
-        The suite's own process cannot see this: it has run L-BFGS."""
+    def test_converges_where_lbfgs_stalls(self):
+        """p = 2 on the 48x48 grid with spacing 1/48 at sigma = 1: L-BFGS
+        stops with gap 8.2e-10 above tol, Newton's method certifies in 14
+        steps."""
+        F = pdirichlet_grid(2.0, width=48, spacing=1 / 48)
+        f = np.random.default_rng(0).standard_normal(F.dim)
+        sol = nl.prox(F, f, 1.0)
+        assert sol.converged and sol.iterations <= 20
+
+    def test_fresh_interpreter_loads_no_heavy_module(self):
+        """No prox route imports scipy.optimize, scipy.linalg,
+        scipy.sparse.linalg or scipy.sparse.csgraph, and the p = 3 solve
+        from a fresh interpreter matches this process's bit for bit.  The
+        suite's own process cannot see this: its tests load them."""
         heavy = ["scipy.optimize", "scipy.linalg", "scipy.sparse.linalg",
                  "scipy.sparse.csgraph"]
         script = f"""
@@ -723,7 +793,8 @@ for kind, p in (("graph_tv", None), ("lipschitz_sup", None),
     assert nl.prox(nl.make_functional(kind, g, p=p), f, 0.3).converged
 print([name for name in {heavy!r} if name in sys.modules])
 sol = nl.prox(nl.make_functional("dirichlet_p", g, p=3.0), f, 0.3)
-print("scipy.optimize" in sys.modules, sol.converged, sol.u.tobytes().hex())
+print([name for name in {heavy!r} if name in sys.modules])
+print(sol.converged, sol.u.tobytes().hex())
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
@@ -731,9 +802,9 @@ print("scipy.optimize" in sys.modules, sol.converged, sol.u.tobytes().hex())
                    PYTHONPATH=src + (os.pathsep + path if path else ""))
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        loaded, after = out.stdout.splitlines()
-        assert loaded == "[]"
+        loaded, after, solved = out.stdout.splitlines()
+        assert loaded == after == "[]"
         g = nl.build_grid_graph(nl.GridSpec(6, 5))
         f = np.random.default_rng(2).standard_normal(g.n)
         u = nl.prox(nl.make_functional("dirichlet_p", g, p=3.0), f, 0.3).u
-        assert after == f"True True {u.tobytes().hex()}"
+        assert solved == f"True {u.tobytes().hex()}"

@@ -5,11 +5,16 @@ Subcommands:
   nlspec validate              run the built-in invariant suite
   nlspec compare <a> <b>       compare two trace CSV files column-wise
 
-Configs are YAML with a strict schema that converts values and rejects unknown
-keys and options the command does not use.  Every stochastic option carries
-an explicit seed; the NLSPEC_SEED environment variable overrides the config
-seed and is recorded in the manifest.  All numbers in CSV output use 17
-significant digits so 64-bit floats round-trip.
+Configs are YAML with a strict schema that converts values and rejects every
+key the run does not read.  Each command reads functional, domain, output_dir
+and seed; flow and decompose also an input and options, power options alone.
+The functional kind sets its keys; on a domain (a grid alone, or an explicit
+graph) the functional takes the graph's node measure, not n or node_measure.
+Each input generator reads its own key: indicator nodes, gaussian seed,
+oracle_eigenvector index.  Every stochastic option carries an explicit seed;
+the NLSPEC_SEED environment variable overrides the config seed and is
+recorded in the manifest.  All numbers in CSV output use 17 significant
+digits so 64-bit floats round-trip.
 """
 
 from __future__ import annotations
@@ -64,28 +69,21 @@ def _floats(value):
     return np.asarray(value, dtype=float).tolist()
 
 
-_FLOW_OPTIONS = {"tau": float, "max_steps": _int, "time_horizon": float,
-                 "prox_tol": float}
-# per command: the keyword arguments of its library call
-OPTIONS = {"flow": _FLOW_OPTIONS, "decompose": _FLOW_OPTIONS,
-           "power": {"restarts": _int, "c": float, "rule": str, "tol": float,
-                     "max_iter": _int},
-           "oracle": {}}
-SCHEMA = {
-    "functional": Required({"kind": Required(str), "p": float, "matrix": _floats,
-                            "node_measure": _floats, "n": _int}),
-    "domain": {"grid": {"width": Required(_int), "height": _int,
-                        "spacing": float, "boundary_mode": str},
-               "n": _int, "edges": list, "boundary": list,
-               "node_measure": _floats},
-    "input": {"values": _floats, "file": os.fspath,
-              "generator": {"name": Required(str), "nodes": _floats,
-                            "seed": _seed, "index": _int}},
-    "command": Required(str),
-    "options": dict,  # the raw section is walked against OPTIONS[command]
-    "output_dir": os.fspath,
-    "seed": _seed,
-}
+_FLOW = {"input": None, "options": {"tau": float, "max_steps": _int,
+                                    "time_horizon": float, "prox_tol": float}}
+COMMANDS = {"flow": _FLOW, "decompose": _FLOW, "oracle": {},
+            "power": {"options": {"restarts": _int, "c": float, "rule": str,
+                                  "tol": float, "max_iter": _int}}}
+_MEASURE = {"n": _int, "node_measure": _floats}
+KINDS = {"quadratic_form": {"matrix": _floats, "node_measure": _floats},
+         "dirichlet_p": {"p": float}, "graph_tv": {}, "lipschitz_sup": {},
+         "l1": _MEASURE, "linf": _MEASURE}
+GRID = {"grid": Required({"width": Required(_int), "height": _int,
+                          "spacing": float, "boundary_mode": str})}
+GRAPH = {"n": Required(_int), "edges": Required(list), "boundary": list,
+         "node_measure": _floats}
+GENERATORS = {"indicator": {"nodes": Required(_floats)},
+              "gaussian": {"seed": _seed}, "oracle_eigenvector": {"index": _int}}
 
 
 def _convert(conv, value, path):
@@ -96,24 +94,39 @@ def _convert(conv, value, path):
 
 
 def _walk(section, table, path=""):
-    """`section` checked against `table` and converted; null reads as absent."""
+    """`section` checked against `table`, unknown keys first, and converted;
+    null reads as absent."""
     where = path or "config"
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(section).__name__}")
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}")
     for key, spec in table.items():
         if isinstance(spec, Required) and section.get(key) is None:
             raise ConfigError(f"{where}: missing required key {key!r}")
     out = {}
     for key, value in section.items():
-        if key not in table:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if value is None:
-            continue
-        spec = getattr(table[key], "spec", table[key])
-        sub = f"{path}.{key}" if path else str(key)
-        out[key] = _walk(value, spec, sub) if isinstance(spec, dict) \
-            else _convert(spec, value, sub)
+        if value is not None:
+            spec = getattr(table[key], "spec", table[key])
+            sub = f"{path}.{key}" if path else str(key)
+            out[key] = _walk(value, spec, sub) if isinstance(spec, dict) \
+                else _convert(spec, value, sub)
     return out
+
+
+def _pick(raw, path, tables):
+    """The table of `tables` that the raw value at key `path` names, with that
+    key; without a value, every table's keys, so that the walk names an
+    unknown key ahead of the missing one."""
+    name = raw
+    for key in path:
+        name = name.get(key) if isinstance(name, dict) else None
+    if name is None:
+        return {key: Required(str), **{k: None for t in tables.values() for k in t}}
+    if not isinstance(name, str) or name not in tables:
+        raise ConfigError(f"{'.'.join(path)}: unknown {key} {name!r}")
+    return {key: str, **tables[name]}
 
 
 def load_config(path: str) -> dict:
@@ -124,28 +137,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    cfg = _walk(raw, SCHEMA)
-    if cfg["command"] not in OPTIONS:
-        raise ConfigError(f"config: unknown command {cfg['command']!r}")
-    if "options" in cfg:
-        cfg["options"] = _walk(raw["options"], OPTIONS[cfg["command"]], "options")
+    domain = raw.get("domain") if isinstance(raw, dict) else None
+    kind = _pick(raw, ("functional", "kind"), KINDS)
+    if domain is not None:
+        kind = {k: v for k, v in kind.items() if k not in _MEASURE}
+    table = {"functional": Required(kind), "output_dir": os.fspath, "seed": _seed,
+             "domain": GRID if isinstance(domain, dict) and "grid" in domain else GRAPH,
+             **_pick(raw, ("command",), COMMANDS)}
+    if "input" in table:  # a flow's input, whose generator sets its keys
+        generator = _pick(raw, ("input", "generator", "name"), GENERATORS)
+        table["input"] = Required({"values": _floats, "file": os.fspath,
+                                   "generator": generator})
+    cfg = _walk(raw, table)
     if "input" in cfg and len(cfg["input"]) != 1:
         raise ConfigError("input: give exactly one of values/file/generator")
-    # make_functional reads p only for dirichlet_p, matrix only for
-    # quadratic_form and n only for l1/linf; a graph kind, or l1/linf on a
-    # domain, takes its measure from the graph
-    kind = cfg["functional"]["kind"]
-    graph_measure = kind in core.GRAPH_KINDS or (kind in core.VECTOR_KINDS
-                                                 and "domain" in cfg)
-    unused = {"p": kind != "dirichlet_p", "matrix": kind != "quadratic_form",
-              "n": graph_measure or kind == "quadratic_form",
-              "node_measure": graph_measure}
-    for key in unused:
-        if unused[key] and key in cfg["functional"]:
-            why = ("takes its measure from the domain"
-                   if graph_measure and key in ("n", "node_measure")
-                   else "does not use it")
-            raise ConfigError(f"functional.{key}: {kind} {why}")
     return cfg
 
 
@@ -157,8 +162,6 @@ def build_domain(cfg):
     if "grid" in dsec:
         spec = functionals.GridSpec(**dsec["grid"])
         return functionals.build_grid_graph(spec), spec
-    if "edges" not in dsec or "n" not in dsec:
-        raise ConfigError("domain: need either grid or explicit n + edges")
     return core.WeightedGraph(**dsec), None
 
 
@@ -179,9 +182,7 @@ def oracle_spectrum(F):
 
 
 def build_input(cfg, F, seed, manifest):
-    isec = cfg.get("input")
-    if isec is None:
-        raise ConfigError("this command requires an input section")
+    isec = cfg["input"]
     if "values" in isec:
         return core.as_signal(isec["values"], F.dim)
     if "file" in isec:
@@ -193,9 +194,8 @@ def build_input(cfg, F, seed, manifest):
             data = data[:, -1]
         return core.as_signal(data, F.dim)
     gen = isec["generator"]
-    name = gen["name"]
-    if name == "indicator":
-        nodes = np.asarray(gen.get("nodes", -1.0))  # absent: no node index
+    if gen["name"] == "indicator":
+        nodes = np.asarray(gen["nodes"])
         if not (nodes.size and ((nodes == np.round(nodes)) & (0 <= nodes)
                                 & (nodes < F.dim)).all()):
             raise ConfigError(f"input.generator.nodes: indicator needs one or "
@@ -203,16 +203,14 @@ def build_input(cfg, F, seed, manifest):
         f = np.zeros(F.dim)
         f[nodes.astype(int)] = 1.0
         return f
-    if name == "gaussian":
+    if gen["name"] == "gaussian":
         gseed = gen.get("seed", seed)
         manifest["resolved"]["input_seed"] = gseed
         return np.random.default_rng(gseed).standard_normal(F.dim)
-    if name == "oracle_eigenvector":
-        index = gen.get("index", 1)
-        if not 0 <= index < F.dim:
-            raise ConfigError(f"input.generator.index: need 0 <= index < {F.dim}")
-        return oracle_spectrum(F).eigenvectors[:, index].copy()
-    raise ConfigError(f"input.generator: unknown generator {name!r}")
+    index = gen.get("index", 1)  # oracle_eigenvector
+    if not 0 <= index < F.dim:
+        raise ConfigError(f"input.generator.index: need 0 <= index < {F.dim}")
+    return oracle_spectrum(F).eigenvectors[:, index].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,6 @@ def cmd_run(args) -> int:
     }
     graph, grid_spec = build_domain(cfg)
     F = build_functional(cfg, graph)
-    if graph is not None and F.dim != graph.n:
-        raise ConfigError(f"functional.matrix: {F.dim} rows, {graph.n} nodes")
     command = cfg["command"]
     status = 0
 
@@ -357,7 +353,9 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     results = validation.run_suite(args.filter)
-    width = max(len(r.name) for r in results) if results else 10
+    if not results:  # a check that ran nothing has shown nothing
+        raise NlspecError(f"--filter {args.filter!r}: no check name contains it")
+    width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

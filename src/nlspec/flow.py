@@ -82,8 +82,10 @@ def default_step_size(F: FunctionalHandle, f) -> float:
 
 def run_flow(F: FunctionalHandle, f, tau: float = None, max_steps: int = 1000,
              time_horizon: float = None, prox_tol: float = 1e-11) -> FlowTrace:
-    if tau is not None and not tau > 0:
-        raise BadStep("step size must be positive")
+    if tau is not None and not 0 < tau < math.inf:
+        raise BadStep(f"step size must be finite and positive, got {tau}")
+    if time_horizon is not None and not time_horizon > 0:  # inf: no horizon
+        raise BadStep(f"time horizon must be positive, got {time_horizon}")
     check_count("max_steps", max_steps)
     f = clamp_boundary(F, as_signal(f, F.dim))
     m = F.measure

@@ -68,10 +68,9 @@ def build_grid_graph(spec: GridSpec) -> WeightedGraph:
 
 def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
                     matrix=None, n: int = None, node_measure=None) -> FunctionalHandle:
-    """Build a handle for one of the catalog functionals.
-
-    kind in {quadratic_form, dirichlet_p, graph_tv, l1, linf, lipschitz_sup}.
-    """
+    """Build a handle for one of the catalog functionals, kind in
+    {quadratic_form, dirichlet_p, graph_tv, l1, linf, lipschitz_sup}; on a
+    `graph`, each takes the graph's node measure."""
     if kind in GRAPH_KINDS:
         if graph is None:
             raise BadParams(f"{kind} requires a graph")
@@ -83,14 +82,13 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         return FunctionalHandle(kind=kind, degree=degree,
                                 measure=graph.node_measure, graph=graph)
 
+    if graph is not None:  # the graph carries the measure
+        n, node_measure = graph.n, graph.node_measure
     if kind in ("l1", "linf"):
-        if graph is not None:
-            m = graph.node_measure
-        elif n is None and node_measure is None:
+        if n is None and node_measure is None:
             raise BadParams(f"{kind} requires a dimension")
-        else:
-            m = node_measure_array(node_measure,
-                                   np.size(node_measure) if n is None else int(n))
+        m = node_measure_array(node_measure,
+                               np.size(node_measure) if n is None else int(n))
         return FunctionalHandle(kind=kind, degree=1.0, measure=m)
 
     if kind == "quadratic_form":
@@ -99,6 +97,8 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise BadParams("quadratic_form matrix must be square")
+        if n is not None and len(A) != n:
+            raise BadParams(f"quadratic_form matrix has {len(A)} rows, for {n} nodes")
         scale = max(float(np.max(np.abs(A))), 1.0)
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise BadParams("quadratic_form matrix must be symmetric")

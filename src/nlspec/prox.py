@@ -21,10 +21,10 @@ the edgewise maps):
                    Both routes certify with the gap in its Fenchel-Young form
                    (`_fenchel_young`), edge by edge, so no term of the size of
                    f cancels and in the box none is < 0.
-Every route stops at |gap| + 2^-52*|P| <= tol*(1 + |P|/scale) (`_certified`),
-since a gap <= 0 is rounding, P the prox objective and scale a caller's unit
-of it: `run_flow` passes dist_0^2, so its flow from s*f with tol*s^2 takes
-the steps and iterations of the flow from f.
+Every route stops at |gap| + 2^-52*|P| <= tol*(1 + |P|/scale) < inf
+(`_certified`), since a gap <= 0 is rounding, P the prox objective and scale
+a caller's unit of it: `run_flow` passes dist_0^2, so its flow from s*f with
+tol*s^2 takes the steps and iterations of the flow from f.
 The dual kernel returns the edge flow psi of its certificate as
 `ProxSolution.psi` (None on the other routes), and starts from a caller's
 `psi0` in place of zero: `power_method` passes the previous solve's flow.
@@ -79,12 +79,10 @@ def prox(F: FunctionalHandle, f, sigma: float, tol: float = 1e-10,
     """prox_{sigma J}(f).  `psi0`, an edge flow, starts the dual kernel in
     place of psi = 0; the other routes ignore it.  It changes how soon the
     solve certifies, not what: the answer is still accepted by its gap."""
-    if not sigma > 0:
-        raise BadStep(f"prox step must be positive, got {sigma}")
-    if not tol > 0:
-        raise BadStep("tolerance must be positive")
-    if not scale > 0:
-        raise BadStep("objective scale must be positive")
+    for name, value in (("prox step", sigma), ("tolerance", tol),
+                        ("objective scale", scale)):
+        if not 0 < value < math.inf:
+            raise BadStep(f"{name} must be finite and positive, got {value}")
     check_count("max_iter", max_iter)
     # Dirichlet nodes are clamped throughout: the minimization runs over
     # boundary-zero signals, so zeta = (f - u)/sigma vanishes on the boundary
@@ -113,7 +111,8 @@ def _solve(F, f, sigma, tol, max_iter, scale=1.0, psi0=None):
 
 def _certified(gap, pval, tol, scale):
     """The stopping rule of every route (module docstring), P = pval."""
-    return abs(gap) + 2.0 ** -52 * abs(pval) <= tol * (1.0 + abs(pval) / scale)
+    return abs(gap) + 2.0 ** -52 * abs(pval) <= tol * (1.0 + abs(pval) / scale) \
+        < math.inf
 
 
 def _prox_quadratic(F, f, sigma, tol, scale):

@@ -48,6 +48,7 @@ class TestConfigParsing:
         p = write_config(tmp_path / "c.yaml", {
             "functional": {"kind": "graph_tv", "weight": 2},
             "domain": {"grid": {"width": 3}},
+            "input": {"values": [1, 2, 3]},
             "command": "flow",
         })
         rc = cli.main(["run", p])
@@ -78,8 +79,8 @@ MISSING = object()  # an override that removes the key
 MALFORMED = {
     "grid_width": ({"domain": {"grid": {"width": "abc"}}}, {},
                    "domain.grid.width"),  # ValueError
-    "functional_n": ({"functional": {"kind": "l1", "n": "x"}}, {},
-                     "functional.n"),  # ValueError
+    "functional_n": ({"domain": MISSING, "functional": {"kind": "l1", "n": "x"}},
+                     {}, "functional.n"),  # ValueError
     "max_steps": ({"options": {"max_steps": "many"}}, {},
                   "options.max_steps"),  # ValueError
     "tau": ({"options": {"tau": "fast"}}, {}, "options.tau"),  # TypeError
@@ -96,8 +97,8 @@ MALFORMED = {
                        "'store_iterates'"),  # not an option
     "extinction_tol": ({"options": {"extinction_tol": 1e-3}}, {},
                        "'extinction_tol'"),  # not an option
-    "foreign_option": ({"command": "power", "options": {"tau": 0.1}}, {},
-                       "'tau'"),  # ignored
+    "foreign_option": ({"command": "power", "input": MISSING,
+                        "options": {"tau": 0.1}}, {}, "'tau'"),  # ignored
     "no_functional": ({"functional": MISSING}, {}, "'functional'"),
     "null_functional": ({"functional": None}, {}, "'functional'"),
     "fractional_node": ({"input": {"generator": {"name": "indicator",
@@ -106,6 +107,8 @@ MALFORMED = {
     "negative_node": ({"input": {"generator": {"name": "indicator",
                                                "nodes": [-1]}}}, {},
                       "input.generator.nodes"),  # read as the last node
+    "indicator_without_nodes": ({"input": {"generator": {"name": "indicator"}}},
+                                {}, "input.generator: missing required key 'nodes'"),
     "empty_indicator_nodes": ({"input": {"generator": {"name": "indicator",
                                                        "nodes": []}}}, {},
                               "input.generator.nodes"),  # the zero signal
@@ -128,38 +131,72 @@ MALFORMED = {
                                 "input.generator.seed"),  # ValueError
     "negative_seed": ({"input": {"generator": {"name": "gaussian"}},
                        "seed": -1}, {}, "seed:"),  # ValueError
-    "domain_without_edges": ({"domain": {"n": 3}}, {}, "domain:"),
-    "no_input": ({"input": MISSING}, {}, "input section"),
+    "domain_without_edges": ({"domain": {"n": 3}}, {},
+                             "domain: missing required key 'edges'"),
+    "no_input": ({"input": MISSING}, {}, "missing required key 'input'"),
     "unknown_generator": ({"input": {"generator": {"name": "poisson"}}}, {},
                           "'poisson'"),
     "oracle_without_matrix": ({"command": "oracle", "domain": MISSING,
                                "functional": {"kind": "l1", "n": 3},
-                               "options": MISSING}, {}, "not l1"),
+                               "input": MISSING, "options": MISSING}, {},
+                              "not l1"),
     # functional keys the kind does not read: J was computed without them
-    "graph_tv_p": ({"functional": {"kind": "graph_tv", "p": 3.0,
-                                   "node_measure": [5, 5, 5, 5, 5, 5]}}, {},
-                   "functional.p"),  # J at p = 1 with the grid's measure
+    "graph_tv_p": ({"functional": {"kind": "graph_tv", "p": 3.0}}, {},
+                   "functional: unknown key 'p'"),  # J at p = 1
     "graph_tv_node_measure": ({"functional": {"kind": "graph_tv",
                                               "node_measure": [5] * 6}}, {},
-                              "functional.node_measure"),
+                              "functional: unknown key 'node_measure'"),
     "lipschitz_n": ({"functional": {"kind": "lipschitz_sup", "n": 6}}, {},
-                    "functional.n"),
+                    "functional: unknown key 'n'"),
     "l1_on_domain_node_measure": ({"functional": {"kind": "l1",
                                                   "node_measure": [5] * 6}}, {},
-                                  "functional.node_measure"),
+                                  "functional: unknown key 'node_measure'"),
     "l1_p": ({"domain": MISSING, "functional": {"kind": "l1", "n": 6,
-                                                "p": 2.0}}, {}, "functional.p"),
+                                                "p": 2.0}}, {},
+             "functional: unknown key 'p'"),
     "dirichlet_p_matrix": ({"functional": {"kind": "dirichlet_p", "p": 2.0,
                                            "matrix": [[1.0]]}}, {},
-                           "functional.matrix"),
+                           "functional: unknown key 'matrix'"),
     "quadratic_form_n": ({"domain": MISSING,
                           "functional": {"kind": "quadratic_form",
                                          "matrix": [[1.0]], "n": 1}}, {},
-                         "functional.n"),
-    "quadratic_form_size": ({"domain": {"grid": {"width": 4, "height": 4}},
-                             "functional": {"kind": "quadratic_form",
-                                            "matrix": np.eye(3).tolist()}}, {},
-                            "functional.matrix"),  # ValueError after the run
+                         "functional: unknown key 'n'"),
+    # the rows below exit 0 without a word when every key is accepted and
+    # the run drops those it does not read
+    "quadratic_form_node_measure_on_domain": (
+        {"functional": {"kind": "quadratic_form", "matrix": np.eye(6).tolist(),
+                        "node_measure": [1, 2, 3, 4, 5, 6]}}, {},
+        "functional: unknown key 'node_measure'"),  # J on another measure
+    "grid_with_node_measure": ({"domain": {"grid": {"width": 6},
+                                           "node_measure": [5] * 6}}, {},
+                               "domain: unknown key 'node_measure'"),
+    "grid_with_boundary": ({"domain": {"grid": {"width": 6}, "boundary": [0]}},
+                           {}, "domain: unknown key 'boundary'"),
+    "grid_with_n": ({"domain": {"grid": {"width": 6}, "n": 7}}, {},
+                    "domain: unknown key 'n'"),
+    "power_input": ({"command": "power", "options": {"restarts": 1}}, {},
+                    "config: unknown key 'input'"),
+    "oracle_input": ({"command": "oracle", "options": MISSING}, {},
+                     "config: unknown key 'input'"),
+    "gaussian_nodes": ({"input": {"generator": {"name": "gaussian",
+                                                "nodes": [1]}}}, {},
+                       "input.generator: unknown key 'nodes'"),
+    "gaussian_index": ({"input": {"generator": {"name": "gaussian",
+                                                "index": 2}}}, {},
+                       "input.generator: unknown key 'index'"),
+    "indicator_seed": ({"input": {"generator": {"name": "indicator",
+                                                "nodes": [1], "seed": 3}}}, {},
+                       "input.generator: unknown key 'seed'"),
+    # a misspelt key is named ahead of the required key it replaced
+    "kind_typo": ({"functional": {"knid": "graph_tv"}}, {},
+                  "functional: unknown key 'knid'"),
+    "edges_typo": ({"domain": {"n": 3, "edgs": [[0, 1, 1.0], [1, 2, 1.0]]}}, {},
+                   "domain: unknown key 'edgs'"),
+    "generator_name_typo": ({"input": {"generator": {"nmae": "gaussian"}}}, {},
+                            "input.generator: unknown key 'nmae'"),
+    "command_typo": ({"command": "flwo"}, {}, "command: unknown command 'flwo'"),
+    "kind_unknown": ({"functional": {"kind": "tv"}}, {},
+                     "functional.kind: unknown kind 'tv'"),
 }
 
 
@@ -190,16 +227,24 @@ class TestFrontDoor:
         assert rc == 1 and err.startswith("config error: config is not valid YAML")
         assert len(err.splitlines()) == 1 and "line 2" in err
 
-    @pytest.mark.parametrize("overrides", [
-        {"domain": MISSING, "functional": {"kind": "l1", "n": -1}},
-        {"command": "power", "options": {"max_iter": 0, "restarts": 1}},
-        {"functional": {"kind": "dirichlet_p", "p": float("nan")}},
-    ], ids=["negative_n", "power_max_iter_0", "dirichlet_p_nan"])
-    def test_library_rejection_is_one_error_line(self, overrides, tmp_path,
-                                                 capsys):
-        # a ValueError and a TypeError traceback before the library checked
+    @pytest.mark.parametrize("overrides, words", [
+        ({"domain": MISSING, "functional": {"kind": "l1", "n": -1}}, ""),
+        ({"command": "power", "input": MISSING,
+          "options": {"max_iter": 0, "restarts": 1}}, "max_iter"),
+        ({"functional": {"kind": "dirichlet_p", "p": float("nan")}}, "p"),
+        ({"domain": {"grid": {"width": 4, "height": 4}},
+          "functional": {"kind": "quadratic_form",
+                         "matrix": np.eye(3).tolist()}}, "3 rows, for 16 nodes"),
+        ({"options": {"time_horizon": 0}}, "time horizon"),
+    ], ids=["negative_n", "power_max_iter_0", "dirichlet_p_nan",
+            "quadratic_form_size", "time_horizon_0"])
+    def test_library_rejection_is_one_error_line(self, overrides, words,
+                                                 tmp_path, capsys):
+        # a ValueError and a TypeError traceback before the library checked;
+        # a matrix of the wrong size, a numpy ValueError without the check
+        # in make_functional; a horizon of 0, one step
         rc, err = self._run(tmp_path, capsys, **overrides)
-        assert rc == 1 and err.startswith("error:")
+        assert rc == 1 and err.startswith("error:") and words in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("functional, domain", [
@@ -536,6 +581,24 @@ class TestOracleRun:
         assert np.allclose(np.asarray(A) @ v, lams[0] * v, atol=1e-12)
 
 
+    def test_quadratic_form_takes_the_domain_measure(self, tmp_path):
+        """Without the domain's measure, J would be another problem: the
+        spectrum of A itself, not of A v = lam M v."""
+        out = tmp_path / "out"
+        A = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
+        p = write_config(tmp_path / "c.yaml", {
+            "functional": {"kind": "quadratic_form", "matrix": A},
+            "domain": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                       "node_measure": [1, 4, 9]},
+            "command": "oracle", "output_dir": str(out)})
+        assert cli.main(["run", p]) == 0
+        with open(out / "oracle.csv") as fh:
+            lams = [float(r["eigenvalue"]) for r in csv.DictReader(fh)]
+        ref = nl.dense_symmetric_eigs(A, node_measure=[1, 4, 9]).eigenvalues
+        assert np.array_equal(lams, ref)
+        assert not np.allclose(lams, np.linalg.eigvalsh(A))
+
+
 class TestArtifactFormats:
     """The exact text of the artifacts that other tools read."""
 
@@ -735,6 +798,14 @@ class TestValidateCommand:
         assert cli.main(["validate", "--filter", "oracles."]) == 0
         assert called == ["oracles.kept"]
         assert "1/1 checks passed" in capsys.readouterr().out
+
+    def test_filter_that_names_no_check_is_a_usage_error(self, capsys):
+        """A misspelt filter runs no check; it must not pass as 0/0."""
+        assert cli.main(["validate", "--filter", "no_such_check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --filter 'no_such_check': no check "
+                                "name contains it\n")
+        assert "checks passed" not in captured.out
 
     def test_run_config_is_not_an_entry_point(self, tmp_path, capsys):
         """The suite is reached by `nlspec validate` alone: `command: validate`

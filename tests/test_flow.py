@@ -144,13 +144,28 @@ class TestRunFlow:
         for k in range(1, len(tr.us)):
             assert tr.zetas[k].tobytes() == returned[k - 1].tobytes()
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("f", [[2.0, 2.0, 2.0], [1.0, 0.0, -1.0]],
                              ids=["nullspace", "generic"])
     def test_nonpositive_tau_rejected(self, tau, f):
         F = nl.make_functional("graph_tv", path_graph(3))
         with pytest.raises(nl.errors.BadStep):
             nl.run_flow(F, np.array(f), tau=tau)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+    def test_horizon_must_be_positive(self, horizon):
+        """Each once ran: 0 and -1 one step, NaN to extinction."""
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(8)))
+        f = np.random.default_rng(0).standard_normal(8)
+        with pytest.raises(nl.errors.BadStep, match="time horizon"):
+            nl.run_flow(F, f, time_horizon=horizon)
+
+    def test_infinite_horizon_is_no_horizon(self):
+        F = nl.make_functional("graph_tv", nl.build_grid_graph(nl.GridSpec(8)))
+        f = np.random.default_rng(0).standard_normal(8)
+        tr = nl.run_flow(F, f, time_horizon=float("inf"))
+        assert np.array_equal(tr.t, nl.run_flow(F, f).t)
+        assert tr.extinction_index is not None
 
     @pytest.mark.parametrize("max_steps", [2.5, -3, 0])
     def test_max_steps_must_be_a_positive_integer(self, max_steps):

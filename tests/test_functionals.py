@@ -147,6 +147,21 @@ class TestMakeFunctional:
         F = nl.make_functional("l1", g)
         assert nl.evaluate(F, np.ones(4)) == pytest.approx(1.0)
 
+    def test_quadratic_form_on_a_graph_takes_its_measure(self):
+        """On a grid of spacing h the measure is h^d, as for every kind."""
+        g = nl.build_grid_graph(nl.GridSpec(width=2, height=2, spacing=0.5))
+        L = nl.laplacian_matrix(g)
+        F = nl.make_functional("quadratic_form", g, matrix=L)
+        assert F.measure is g.node_measure
+        spec = nl.dense_symmetric_eigs(L, node_measure=g.node_measure)
+        for lam, v in zip(spec.eigenvalues[1:], spec.eigenvectors.T[1:]):
+            assert nl.rayleigh(F, v) == pytest.approx(lam, rel=1e-12)
+
+    def test_quadratic_form_size_must_match_the_graph(self):
+        g = nl.build_grid_graph(nl.GridSpec(width=4))
+        with pytest.raises(errors.BadParams, match="3 rows, for 4 nodes"):
+            nl.make_functional("quadratic_form", g, matrix=np.eye(3))
+
 
 class TestCatalogIdentities:
     def test_dirichlet2_equals_half_laplacian_quadratic(self):

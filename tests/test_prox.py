@@ -59,6 +59,30 @@ class TestProxExamples:
         with pytest.raises(errors.BadStep):
             nl.prox(F, [1.0], 0.5, scale=0.0)
 
+    @pytest.mark.parametrize("kind, p", [
+        ("graph_tv", None), ("dirichlet_p", 1.5), ("dirichlet_p", 3.0),
+        ("lipschitz_sup", None), ("l1", None), ("linf", None),
+        ("quadratic_form", None)])
+    @pytest.mark.parametrize("arg", ["sigma", "tol", "scale"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_step_tol_and_scale_must_be_finite(self, kind, p, arg, value):
+        """At sigma = inf graph_tv returned converged=True with gap = inf,
+        and p = 3 and quadratic_form a NaN gap; tol = inf certified the
+        first check."""
+        g = nl.build_grid_graph(nl.GridSpec(width=8))
+        F = nl.make_functional(kind, g, p=p, matrix=nl.laplacian_matrix(g))
+        f = np.random.default_rng(0).standard_normal(8)
+        args = {"sigma": 0.5, "tol": 1e-10, "scale": 1.0, arg: value}
+        with pytest.raises(errors.BadStep, match="finite and positive"):
+            nl.prox(F, f, **args)
+
+    @pytest.mark.parametrize("gap, pval", [
+        (np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan),
+        (-np.inf, 1.0), (np.inf, np.inf)])
+    def test_non_finite_gap_or_objective_is_never_certified(self, gap, pval):
+        assert prox_module._certified(0.0, 1.0, 1e-10, 1.0)
+        assert not prox_module._certified(gap, pval, 1e-10, 1.0)
+
     def test_zeta_identity_exact(self):
         rng = np.random.default_rng(2)
         for F in catalog3().values():

@@ -112,7 +112,7 @@ def power_root(rho, c, q: float):
 
 
 def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
-                        radius: float, t: float = 0.0) -> tuple:
+                        radius: float, t: float = 0.0, ratios=None) -> tuple:
     """Projection of g onto {x : sum_i a_i |x_i| <= radius} in the metric
     sum_i b_i (x_i - g_i)^2, and its multiplier, as (x, t): Newton's method
     from `t` (Michelot, JOTA 1986; Condat, Math. Program. 2016) on
@@ -122,7 +122,8 @@ def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     the active set {|g_i| > t*c_i} shrinks until the step is exact, within
     n + 1 steps; sets at two t are nested, so equal counts mean equal sets.
     A start whose set has no a_i*c_i restarts at 0; radius 0 gives t = inf
-    and x_i = 0 where a_i > 0, else g_i.
+    and x_i = 0 where a_i > 0, else g_i.  `ratios`, the pair (c, a*c), may
+    be passed by a caller that projects many times with the same a and b.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -132,8 +133,10 @@ def project_weighted_l1(g: np.ndarray, a: np.ndarray, b: np.ndarray,
         return g.copy(), 0.0
     if radius == 0.0:  # the a_i = 0 coordinates are not constrained
         return np.where(a > 0, 0.0, g), np.inf
-    c = a / b
-    ac = a * c
+    if ratios is None:
+        c = a / b
+        ratios = c, a * c
+    c, ac = ratios
     # t*c can overflow for a far start, absg/t cannot
     active = absg / t > c if t > 1.0 else absg > t * c
     count = np.count_nonzero(active)

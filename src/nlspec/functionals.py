@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (WeightedGraph, FunctionalHandle, GRAPH_KINDS,
+from .core import (WeightedGraph, FunctionalHandle, GRAPH_KINDS, VECTOR_KINDS,
                    node_measure_array)
 from .errors import BadParams
 
@@ -70,7 +70,9 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
                     matrix=None, n: int = None, node_measure=None) -> FunctionalHandle:
     """Build a handle for one of the catalog functionals, kind in
     {quadratic_form, dirichlet_p, graph_tv, l1, linf, lipschitz_sup}; on a
-    `graph`, each takes the graph's node measure."""
+    `graph`, each takes the graph's node measure.  Only the graph kinds
+    clamp a graph's Dirichlet nodes, so the others reject a graph that has
+    any."""
     if kind in GRAPH_KINDS:
         if graph is None:
             raise BadParams(f"{kind} requires a graph")
@@ -83,8 +85,11 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
                                 measure=graph.node_measure, graph=graph)
 
     if graph is not None:  # the graph carries the measure
+        if graph.boundary and kind in VECTOR_KINDS + ("quadratic_form",):
+            raise BadParams(f"{kind} has no Dirichlet nodes; the graph has "
+                            f"{len(graph.boundary)}")
         n, node_measure = graph.n, graph.node_measure
-    if kind in ("l1", "linf"):
+    if kind in VECTOR_KINDS:
         if n is None and node_measure is None:
             raise BadParams(f"{kind} requires a dimension")
         m = node_measure_array(node_measure,

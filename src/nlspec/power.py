@@ -11,22 +11,29 @@ inner steps that only decrease the functional, Hein & Buehler, NIPS 2010), so
 solve k stops at gap max(PROX_TOL, resid_{k-1}/100), resid the fixed-point
 residual of the previous row.  The prox objective is 1-strongly convex, so
 the error in its output is at most sqrt(2*gap), about 15% of the step
-sqrt(2*resid/mu) that the previous solve took.  The first and the last solve
-run at PROX_TOL, and so does every solve after the residual reached tol.  A
-run stops only when its last solve and the solve that produced its w both ran
-at PROX_TOL, so every number it returns comes from exact solves.  A loose
-solve whose normalized output has J above J(w) is redone from w at PROX_TOL,
-as one more row of `history` with the same J.
+sqrt(2*resid/mu) that the previous solve took.  The first solve has no
+previous row and takes the residual's bound RESID_BOUND in its place: the
+prox is firmly nonexpansive and prox(0) = 0, so <u, w>_m >= mu^2 and
+resid <= mu - mu^2 <= 1/4 for a unit w.  The last solve runs at PROX_TOL,
+and so does every solve after the residual reached tol.  A run stops only
+when its last solve and the solve that produced its w both ran at PROX_TOL
+(the start counts as exact), so every number it returns comes from exact
+solves.  A loose solve whose normalized output has J above J(w) is redone
+from w at PROX_TOL, as one more row of `history` with the same J.
 
 Each solve of a run starts the dual kernel from the previous solve's edge
 flow psi (`ProxSolution.psi`) times sigma_k/sigma_{k-1}: the optimal flow is
 sigma times a flow of the subgradient zeta, so it scales with the step; the
-constant rule keeps the factor 1.  Near a fixed point the input barely moves, so the confirming
-solves certify in a few checks.  A redo starts from the loose solve's psi.
-Every solve is still accepted only by its own gap, so the start changes how
-soon it certifies, not what.  The first solve of a run and the certificate's
-solve (`eigen_certificate`) start from zero, so a restart of
-`ground_state_search` carries nothing over.
+constant rule keeps the factor 1.  Near a fixed point the input barely
+moves, so the confirming solves certify in a few checks.  A redo starts
+from the loose solve's psi.
+The certificate (`eigen_certificate`) solves prox_{sigma' J}(2w) = w,
+sigma' = 1/lambda, so its flow has div = w where the last solve's had
+(1 - mu)*w: it starts from that flow over (1 - mu), from zero when mu >= 1.
+At p = 1 the factor is sigma'/sigma, which keeps the flow in the scaled dual
+ball.  Every solve is still accepted only by its own gap, so the start
+changes how soon it certifies, not what.  The first solve of a run starts
+from zero, so a restart of `ground_state_search` carries nothing over.
 """
 
 from __future__ import annotations
@@ -51,9 +58,12 @@ from .core import (
 from .errors import BadParams, DegenerateEnergy, NlspecError, NullspaceStart
 from .prox import EigenCertificate, eigen_certificate
 
-#: duality-gap tolerance of the power method's first and last prox solve, of
-#: the final two solves of a converged run and of every redo of a loose solve
+#: duality-gap tolerance of the power method's last prox solve, of the final
+#: two solves of a converged run and of every redo of a loose solve
 PROX_TOL = 1e-13
+#: bound on the fixed-point residual mu - <prox(w), w>_m of a unit w, which
+#: stands in for the previous residual in the first solve's tolerance
+RESID_BOUND = 0.25
 
 
 @dataclass
@@ -101,7 +111,7 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     recent = deque(maxlen=10)
     converged, solved = False, True  # solved: every prox solve converged
     # w_exact: w is the start or the output of a solve at PROX_TOL
-    prox_tol, w_exact = PROX_TOL, True
+    prox_tol, w_exact = max(PROX_TOL, RESID_BOUND / 100.0), True
     psi = None  # the previous solve's dual flow, the next solve's start
     for k in range(max_iter):
         last = k == max_iter - 1
@@ -143,10 +153,11 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     mu = min(mu, 1.0)
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
     osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
+    cert_psi0 = psi / (1.0 - mu) if psi is not None and mu < 1.0 else None
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
                      rayleigh=F.degree * Jw,
                      residual=norm(sol.u - mu * w, m),
-                     certificate=eigen_certificate(F, w, lam),
+                     certificate=eigen_certificate(F, w, lam, psi0=cert_psi0),
                      history=history, oscillation=osc, converged=converged and solved)
 
 

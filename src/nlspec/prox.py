@@ -27,10 +27,11 @@ a caller's unit of it: `run_flow` passes dist_0^2, so its flow from s*f with
 tol*s^2 takes the steps and iterations of the flow from f.
 The dual kernel returns the edge flow psi of its certificate as
 `ProxSolution.psi` (None on the other routes), and starts from a caller's
-`psi0` in place of zero: `power_method` passes the previous solve's flow.
+`psi0` in place of zero: `power_method` passes the previous solve's flow to
+`prox`, and its last one over (1 - mu) to `eigen_certificate`.
 The kernel copies the start and writes only into its own buffers, never
-into f, psi0 or an array it returns.  `run_flow`, `dual_ball_membership`
-and `eigen_certificate` start every solve from zero.
+into f, psi0 or an array it returns.  `run_flow` and `dual_ball_membership`
+start every solve from zero.
 
 The same solver answers the dual questions for every kind:
 `dual_ball_membership` by Moreau's identity prox_J = I - P_{K_J} for degree-1
@@ -136,7 +137,8 @@ def _edge_dual(F, sigma):
     - the edgewise prox of h*/L, L = F.graph.grad_div_opnorm, that
       `_prox_dual_fista` applies after each gradient step: the projection
       onto sum_e |psi_e| / w_e <= sigma (lipschitz_sup), from the multiplier
-      of the map's last call (a map serves one solve), onto the box
+      of the map's last call and with its ratios computed once (a map serves
+      one solve), onto the box
       |psi_e| <= sigma*w_e (degree 1), or for degree p > 1
       `edgecalc.prox_power_conjugate` with
       h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
@@ -153,10 +155,12 @@ def _edge_dual(F, sigma):
     w = F.graph.edge_arrays[2]
     if F.kind == "lipschitz_sup":
         inv_w, ones, t = 1.0 / w, np.ones_like(w), 0.0
+        ratios = inv_w, inv_w * inv_w  # (a/b, a*a/b) at a = 1/w, b = 1
 
         def project(psi):
             nonlocal t
-            x, t = edgecalc.project_weighted_l1(psi, inv_w, ones, sigma, t)
+            x, t = edgecalc.project_weighted_l1(psi, inv_w, ones, sigma, t,
+                                                ratios=ratios)
             return x
         return (project, lambda psi: 0.0, None,
                 lambda du: sigma * np.max(w * np.abs(du), initial=0.0))
@@ -394,7 +398,13 @@ class EigenCertificate:
         return max(self.euler_residual, self.subgradient_gap)
 
 
-def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
+def eigen_certificate(F: FunctionalHandle, w, lam: float,
+                      psi0=None) -> EigenCertificate:
+    """The certificate of (w, lam).  `psi0`, an edge flow, starts the dual
+    kernel's solve in place of psi = 0, as in `prox`: a flow psi with
+    div(psi) = w answers an eigenpair, since the input w + sigma*zeta is then
+    2w for a unit w, and `power_method` passes its last solve's flow over
+    (1 - mu).  The verdict is still the solve's own gap."""
     w = as_signal(w, F.dim)
     m = F.measure
     nw = norm(w, m)
@@ -403,6 +413,6 @@ def eigen_certificate(F: FunctionalHandle, w, lam: float) -> EigenCertificate:
     zeta = lam * nw ** (F.degree - 2.0) * w
     sigma = 1.0 / lam if lam > 0 else 1.0
     u, _, _, ok, _ = _solve(F, clamp_boundary(F, w + sigma * zeta), sigma,
-                            _CERT_TOL, MAX_ITER)
+                            _CERT_TOL, MAX_ITER, psi0=psi0)
     return EigenCertificate(euler_residual(F, w, zeta),
                             norm(u - w, m) / sigma if ok else math.inf)

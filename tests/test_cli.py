@@ -236,8 +236,15 @@ class TestFrontDoor:
           "functional": {"kind": "quadratic_form",
                          "matrix": np.eye(3).tolist()}}, "3 rows, for 16 nodes"),
         ({"options": {"time_horizon": 0}}, "time horizon"),
+        ({"domain": {"grid": {"width": 6, "boundary_mode": "dirichlet"}},
+          "functional": {"kind": "l1"}}, "l1 has no Dirichlet nodes"),
+        ({"domain": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                     "boundary": [0]},
+          "functional": {"kind": "quadratic_form", "matrix": np.eye(3).tolist()},
+          "input": {"values": [0.0, 1.0, 2.0]}}, "quadratic_form has no Dirichlet"),
     ], ids=["negative_n", "power_max_iter_0", "dirichlet_p_nan",
-            "quadratic_form_size", "time_horizon_0"])
+            "quadratic_form_size", "time_horizon_0", "l1_dirichlet_grid",
+            "quadratic_form_graph_boundary"])
     def test_library_rejection_is_one_error_line(self, overrides, words,
                                                  tmp_path, capsys):
         # a ValueError and a TypeError traceback before the library checked;

@@ -157,6 +157,20 @@ class TestMakeFunctional:
         for lam, v in zip(spec.eigenvalues[1:], spec.eigenvectors.T[1:]):
             assert nl.rayleigh(F, v) == pytest.approx(lam, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["quadratic_form", "l1", "linf"])
+    def test_non_graph_kinds_reject_dirichlet_nodes(self, kind):
+        """Only the graph kinds clamp Dirichlet nodes; these took the graph's
+        measure and dropped its boundary, so prox(ones).u[0] read 1.0 (0.9
+        for l1) where graph_tv clamps it to 0."""
+        g = nl.build_grid_graph(nl.GridSpec(3, boundary_mode="dirichlet"))
+        with pytest.raises(errors.BadParams, match="Dirichlet"):
+            nl.make_functional(kind, g, matrix=nl.laplacian_matrix(g))
+        F = nl.make_functional("graph_tv", g)
+        assert nl.prox(F, np.ones(5), 0.1).u[0] == 0.0
+        neumann = nl.build_grid_graph(nl.GridSpec(3))
+        assert nl.make_functional(kind, neumann,
+                                  matrix=nl.laplacian_matrix(neumann)).dim == 3
+
     def test_quadratic_form_size_must_match_the_graph(self):
         g = nl.build_grid_graph(nl.GridSpec(width=4))
         with pytest.raises(errors.BadParams, match="3 rows, for 4 nodes"):

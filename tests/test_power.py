@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import nlspec as nl
 from nlspec import errors
@@ -11,17 +12,51 @@ from nlspec import errors
 from graphs import path_graph
 
 
-def record_prox_calls(monkeypatch):
-    """Patch nlspec.prox.prox to record (args, kwargs, solution) per call."""
+def record_prox_calls(monkeypatch, name="prox"):
+    """Patch nlspec.prox.<name> (`prox`, or the `_solve` that it and the
+    certificate call) to record (args, kwargs, solution) per call."""
     prox_module = importlib.import_module("nlspec.prox")
-    prox, calls = prox_module.prox, []
+    fn, calls = getattr(prox_module, name), []
 
     def recorded(*args, **kwargs):
-        calls.append((args, kwargs, prox(*args, **kwargs)))
+        calls.append((args, kwargs, fn(*args, **kwargs)))
         return calls[-1][2]
 
-    monkeypatch.setattr(prox_module, "prox", recorded)
+    monkeypatch.setattr(prox_module, name, recorded)
     return calls
+
+
+# one handle per catalog kind on 5 nodes, lipschitz_sup on a Dirichlet path,
+# whose ground state is the distance to the ends
+CATALOG5 = {
+    "graph_tv": nl.make_functional("graph_tv", path_graph(5)),
+    "dirichlet_1.5": nl.make_functional("dirichlet_p", path_graph(5), p=1.5),
+    "dirichlet_3": nl.make_functional("dirichlet_p", path_graph(5), p=3.0),
+    "lipschitz_sup": nl.make_functional("lipschitz_sup", nl.build_grid_graph(
+        nl.GridSpec(width=3, boundary_mode="dirichlet"))),
+    "l1": nl.make_functional("l1", node_measure=[1.0, 0.5, 2.0, 1.0, 0.25]),
+    "linf": nl.make_functional("linf", node_measure=[1.0, 0.5, 2.0, 1.0, 0.25]),
+    "quadratic_form": nl.make_functional(
+        "quadratic_form", matrix=nl.laplacian_matrix(path_graph(5))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CATALOG5)), st.sampled_from(["constant", "adaptive"]),
+       st.lists(st.floats(-3, 3), min_size=5, max_size=5))
+def test_residual_within_its_bound_property(kind, rule, start):
+    """prox is firmly nonexpansive with prox(0) = 0, so <u, w>_m >= mu^2 and
+    every row's residual mu - <u, w>_m lies in [0, mu - mu^2]: the bound the
+    first solve's tolerance stands on, held by the loose solves too."""
+    F = CATALOG5[kind]
+    try:
+        pair = nl.power_method(F, np.array(start), rule=rule, tol=1e-12,
+                               max_iter=200)
+    except (errors.NullspaceStart, errors.DegenerateEnergy):
+        assume(False)
+    for row in pair.history:
+        mu = row["mu"]
+        assert 0.0 <= row["residual"] <= mu - mu * mu + 1e-12, row
 
 
 class TestPowerMethod:
@@ -139,7 +174,11 @@ class TestPowerMethod:
         assert nl.eigen_certificate(F, w_star, lam).max_residual <= 1e-12
         pair = nl.power_method(F, w_star, tol=1e-12, max_iter=50)
         assert pair.converged
-        assert len(pair.history) == 1  # residual already below tol at k=0
+        # residual below tol from k=0, but the first solve runs loose, so
+        # two exact solves follow it: the last and the one that made its w
+        exact = importlib.import_module("nlspec.power").PROX_TOL
+        assert [h["prox_tol"] > exact for h in pair.history] == [True, False, False]
+        assert all(h["residual"] <= 1e-12 for h in pair.history)
         assert np.allclose(pair.w, w_star, atol=1e-12)
         assert pair.lam == pytest.approx(lam, rel=1e-10)
 
@@ -201,7 +240,8 @@ class TestPowerMethod:
 
     def test_prox_tolerance_schedule(self, monkeypatch):
         # criterion 3's graph and first start: the early solves run loose,
-        # the first and the final two at PROX_TOL
+        # the first at the residual's bound over 100, the final two at
+        # PROX_TOL
         edgecalc = importlib.import_module("nlspec.edgecalc")
         power_module = importlib.import_module("nlspec.power")
         project = edgecalc.project_weighted_l1
@@ -228,8 +268,8 @@ class TestPowerMethod:
         assert pair.converged
         tols = [h["prox_tol"] for h in pair.history]
         exact = power_module.PROX_TOL
-        assert tols[0] == tols[-2] == tols[-1] == exact
-        assert max(tols) > exact
+        assert tols[0] == power_module.RESID_BOUND / 100.0 > exact
+        assert tols[-2] == tols[-1] == exact
         assert sum(h["prox_iterations"] for h in pair.history) == len(kernel_its)
 
     @pytest.mark.parametrize("n", [4, 33])
@@ -247,6 +287,14 @@ class TestPowerMethod:
                 assert max(np.diff(Js)) <= 1e-8 * (1.0 + Js[0])
 
 
+def search_starts(F, restarts, seed):
+    """The starts of ground_state_search(F, restarts, seed)."""
+    rng = np.random.default_rng(seed)
+    starts = [rng.standard_normal(F.dim) for _ in range(restarts)]
+    starts[0] = np.ones(F.dim) + 0.01 * starts[0]
+    return starts
+
+
 def criterion3_chain(rule, warm=True):
     """Criterion 3's three power chains on the 33-node Dirichlet path, the
     starts of ground_state_search(seed=33), with each prox solve started
@@ -255,9 +303,7 @@ def criterion3_chain(rule, warm=True):
     prox = prox_module.prox
     F = nl.make_functional("lipschitz_sup", nl.build_grid_graph(
         nl.GridSpec(width=33, boundary_mode="dirichlet")))
-    rng = np.random.default_rng(33)
-    starts = [rng.standard_normal(F.dim) for _ in range(3)]
-    starts[0] = np.ones(F.dim) + 0.01 * starts[0]
+    starts = search_starts(F, 3, 33)
     with pytest.MonkeyPatch.context() as mp:
         if not warm:
             mp.setattr(prox_module, "prox",
@@ -305,7 +351,71 @@ class TestDualWarmStart:
             assert np.array_equal(kwargs["psi0"], prev.psi * ratios[-1])
         assert (max(ratios) == min(ratios) == 1.0) == (rule == "constant")
 
-    def test_restarts_certificates_and_flows_start_cold(self, monkeypatch):
+    @pytest.mark.parametrize("kind, p", [
+        ("lipschitz_sup", None), ("graph_tv", None), ("dirichlet_p", 1.5),
+        ("dirichlet_p", 3.0), ("quadratic_form", None)])
+    def test_certificate_starts_from_the_last_flow_over_one_minus_mu(
+            self, kind, p, monkeypatch):
+        """The certificate solves prox_{J/lam}(2w) = w, so its flow has
+        div = w where the last solve's had (1 - mu)*w.  Off the dual kernel
+        there is no flow, and the certificate starts from nothing."""
+        calls = record_prox_calls(monkeypatch, "_solve")
+        g = path_graph(8)
+        F = (nl.make_functional(kind, matrix=nl.laplacian_matrix(g))
+             if kind == "quadratic_form" else nl.make_functional(kind, g, p=p))
+        pair = nl.power_method(F, np.random.default_rng(1).standard_normal(8))
+        assert pair.converged and pair.mu < 1.0
+        (_, _, last), (args, kwargs, _) = calls[-2:]
+        # the certificate's input, and the last solve's
+        assert np.allclose(args[1], 2.0 * pair.w, rtol=0.0, atol=1e-14)
+        assert pair.residual == nl.norm(last[0] - pair.mu * pair.w, F.measure)
+        psi = last[4]
+        assert (psi is None) == (kind == "quadratic_form" or p == 3.0)
+        if psi is None:
+            assert kwargs["psi0"] is None
+        else:
+            assert np.array_equal(kwargs["psi0"], psi / (1.0 - pair.mu))
+
+    @pytest.mark.parametrize("case", ["criterion3", "p1.5"])
+    def test_warm_certificate_keeps_the_cold_verdict(self, case, monkeypatch):
+        """Each chain's certificate started from the last flow reads what
+        the one started from zero reads, within the two solves' error bars:
+        the prox objective is 1-strongly convex, so a solve that stops at
+        `gap` returns u within sqrt(2*gap) of the exact prox, and its
+        subgradient_gap ||u - w||/sigma is within sqrt(2*gap)/sigma of the
+        exact one.  On criterion 3's graph the warm solve takes a fifth of
+        the cold one's 180 iterations or fewer."""
+        calls = record_prox_calls(monkeypatch, "_solve")
+        if case == "criterion3":
+            F = nl.make_functional("lipschitz_sup", nl.build_grid_graph(
+                nl.GridSpec(width=33, boundary_mode="dirichlet")))
+            starts, tol, max_iter = search_starts(F, 3, 33), 1e-11, 4000
+        else:
+            F = nl.make_functional("dirichlet_p", nl.build_grid_graph(nl.GridSpec(
+                width=6, height=5, boundary_mode="dirichlet")), p=1.5)
+            starts, tol, max_iter = search_starts(F, 3, 0), 1e-13, 2000
+        for start in starts:
+            pair = nl.power_method(F, start, tol=tol, max_iter=max_iter)
+            assert pair.converged
+            args, kwargs, (u, warm_its, warm_gap, ok, _) = calls[-1]
+            assert ok and kwargs["psi0"] is not None
+            sigma = args[2]
+            warm = pair.certificate
+            assert warm.subgradient_gap == nl.norm(u - pair.w, F.measure) / sigma
+            cold = nl.eigen_certificate(F, pair.w, pair.lam)
+            _, kwargs, (_, cold_its, cold_gap, ok, _) = calls[-1]
+            assert ok and kwargs["psi0"] is None
+            bar = (math.sqrt(2.0 * abs(warm_gap))
+                   + math.sqrt(2.0 * abs(cold_gap))) / sigma
+            assert abs(warm.subgradient_gap - cold.subgradient_gap) <= bar
+            assert warm.euler_residual == cold.euler_residual
+            for bound in (1e-12, 1e-5):
+                assert (warm.max_residual <= bound) == (cold.max_residual <= bound)
+            if case == "criterion3":
+                assert warm.max_residual <= 1e-12
+                assert 5 * warm_its <= cold_its
+
+    def test_restarts_and_flows_start_cold(self, monkeypatch):
         prox_module = importlib.import_module("nlspec.prox")
         kernel, starts = prox_module._prox_dual_fista, []
 
@@ -316,9 +426,12 @@ class TestDualWarmStart:
         monkeypatch.setattr(prox_module, "_prox_dual_fista", recorded)
         F = nl.make_functional("graph_tv", path_graph(6))
         out = nl.ground_state_search(F, restarts=2, seed=3)
-        # per chain: a cold first solve, warm ones, then a cold certificate
+        # per chain: a cold first solve, then warm ones and a warm
+        # certificate, so the second chain's first solve follows a
+        # certificate
         cold = [k for k, psi0 in enumerate(starts) if psi0 is None]
-        assert len(cold) == 4 and cold[0] == 0 and cold[-1] == len(starts) - 1
+        assert len(cold) == 2 and cold[0] == 0
+        assert starts[cold[1] - 1] is not None and starts[-1] is not None
         assert sum(len(p.history) for p in out["all"]) == len(starts) - 2
         starts.clear()
         nl.run_flow(F, np.arange(6.0), tau=0.1, max_steps=5)

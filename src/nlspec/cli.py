@@ -8,8 +8,9 @@ Subcommands:
 Configs are YAML with a strict schema that converts values and rejects every
 key the run does not read.  Each command reads functional, domain, output_dir
 and seed; flow and decompose also an input and options, power options alone.
-The functional kind sets its keys; on a domain (a grid alone, or an explicit
-graph) the functional takes the graph's node measure, not n or node_measure.
+The functional kind sets its keys (functionals.KIND_ARGS); on a domain (a
+grid alone, or an explicit graph) the functional takes the graph's node
+measure, not n or node_measure.
 Each input generator reads its own key: indicator nodes, gaussian seed,
 oracle_eigenvector index.  Every stochastic option carries an explicit seed;
 the NLSPEC_SEED environment variable overrides the config seed and is
@@ -74,10 +75,10 @@ _FLOW = {"input": None, "options": {"tau": float, "max_steps": _int,
 COMMANDS = {"flow": _FLOW, "decompose": _FLOW, "oracle": {},
             "power": {"options": {"restarts": _int, "c": float, "rule": str,
                                   "tol": float, "max_iter": _int}}}
-_MEASURE = {"n": _int, "node_measure": _floats}
-KINDS = {"quadratic_form": {"matrix": _floats, "node_measure": _floats},
-         "dirichlet_p": {"p": float}, "graph_tv": {}, "lipschitz_sup": {},
-         "l1": _MEASURE, "linf": _MEASURE}
+# the arguments of functionals.KIND_ARGS, each with its converter
+_ARGS = {"p": float, "matrix": _floats, "n": _int, "node_measure": _floats}
+KINDS = {kind: {a: _ARGS[a] for a in args}
+         for kind, args in functionals.KIND_ARGS.items()}
 GRID = {"grid": Required({"width": Required(_int), "height": _int,
                           "spacing": float, "boundary_mode": str})}
 GRAPH = {"n": Required(_int), "edges": Required(list), "boundary": list,
@@ -140,7 +141,7 @@ def load_config(path: str) -> dict:
     domain = raw.get("domain") if isinstance(raw, dict) else None
     kind = _pick(raw, ("functional", "kind"), KINDS)
     if domain is not None:
-        kind = {k: v for k, v in kind.items() if k not in _MEASURE}
+        kind = {k: v for k, v in kind.items() if k not in functionals.GRAPH_ARGS}
     table = {"functional": Required(kind), "output_dir": os.fspath, "seed": _seed,
              "domain": GRID if isinstance(domain, dict) and "grid" in domain else GRAPH,
              **_pick(raw, ("command",), COMMANDS)}

@@ -49,17 +49,18 @@ def as_signal(values, n: Optional[int] = None) -> np.ndarray:
 
 
 def check_count(name: str, value) -> int:
-    """`value`, checked to be an int or numpy integer >= 1 (an iteration,
-    step or restart count)."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    """`value`, checked to be an int or numpy integer >= 1, not a bool (a
+    size, or an iteration, step or restart count)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and value >= 1):
         raise BadParams(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 
 def node_measure_array(node_measure, n: int) -> np.ndarray:
-    """Ones without a measure; else the measure, checked finite, positive, length n."""
-    if n < 1:
-        raise BadParams(f"need at least one node, got n = {n}")
+    """Ones without a measure; else the measure, checked finite, positive,
+    length n; n is checked by `check_count`."""
+    check_count("n", n)
     if node_measure is None:
         return np.ones(n)
     try:
@@ -83,9 +84,7 @@ class WeightedGraph:
                  "_opnorm", "_div")
 
     def __init__(self, n: int, edges, boundary=frozenset(), node_measure=None):
-        if n < 1:
-            raise BadParams("graph needs at least one node")
-        m = node_measure_array(node_measure, n)
+        m = node_measure_array(node_measure, n)  # checks n
         try:
             e = np.asarray(edges, dtype=float)
             b = np.fromiter(boundary, dtype=float)

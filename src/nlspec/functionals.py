@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (WeightedGraph, FunctionalHandle, GRAPH_KINDS, VECTOR_KINDS,
-                   node_measure_array)
+                   check_count, node_measure_array)
 from .errors import BadParams
 
 
@@ -26,8 +26,8 @@ class GridSpec:
     boundary_mode: str = "neumann"
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise BadParams("grid needs width >= 1 and height >= 1")
+        check_count("width", self.width)
+        check_count("height", self.height)
         if not self.spacing > 0:
             raise BadParams("grid spacing must be positive")
         if self.boundary_mode not in ("neumann", "dirichlet"):
@@ -66,13 +66,29 @@ def build_grid_graph(spec: GridSpec) -> WeightedGraph:
                          node_measure=np.full(rows * cols, h ** dim))
 
 
+#: the keyword arguments each kind of `make_functional` reads; on a graph,
+#: n and node_measure come from the graph and may not be given
+KIND_ARGS = {"dirichlet_p": ("p",), "quadratic_form": ("matrix", "node_measure"),
+             "l1": ("n", "node_measure"), "linf": ("n", "node_measure"),
+             "graph_tv": (), "lipschitz_sup": ()}
+GRAPH_ARGS = ("n", "node_measure")
+
+
 def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
                     matrix=None, n: int = None, node_measure=None) -> FunctionalHandle:
-    """Build a handle for one of the catalog functionals, kind in
-    {quadratic_form, dirichlet_p, graph_tv, l1, linf, lipschitz_sup}; on a
-    `graph`, each takes the graph's node measure.  Only the graph kinds
+    """Build a handle for one of the catalog functionals, kind a key of
+    KIND_ARGS, from the arguments that kind reads (None reads as absent);
+    on a `graph`, each takes the graph's node measure.  Only the graph kinds
     clamp a graph's Dirichlet nodes, so the others reject a graph that has
     any."""
+    args = {"p": p, "matrix": matrix, "n": n, "node_measure": node_measure}
+    unread = [a for a, v in args.items() if v is not None and (
+        a not in KIND_ARGS.get(kind, ()) or graph is not None and a in GRAPH_ARGS)]
+    if kind not in KIND_ARGS or unread:
+        known = "" if kind in KIND_ARGS else "unknown "
+        where = " on a graph" if graph is not None else ""
+        raise BadParams(f"{known}functional kind {kind!r}{where}"
+                        + (f" does not read {', '.join(unread)}" if unread else ""))
     if kind in GRAPH_KINDS:
         if graph is None:
             raise BadParams(f"{kind} requires a graph")
@@ -85,7 +101,7 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
                                 measure=graph.node_measure, graph=graph)
 
     if graph is not None:  # the graph carries the measure
-        if graph.boundary and kind in VECTOR_KINDS + ("quadratic_form",):
+        if graph.boundary:
             raise BadParams(f"{kind} has no Dirichlet nodes; the graph has "
                             f"{len(graph.boundary)}")
         n, node_measure = graph.n, graph.node_measure
@@ -93,31 +109,28 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         if n is None and node_measure is None:
             raise BadParams(f"{kind} requires a dimension")
         m = node_measure_array(node_measure,
-                               np.size(node_measure) if n is None else int(n))
+                               np.size(node_measure) if n is None else n)
         return FunctionalHandle(kind=kind, degree=1.0, measure=m)
 
-    if kind == "quadratic_form":
-        if matrix is None:
-            raise BadParams("quadratic_form requires a matrix")
-        A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise BadParams("quadratic_form matrix must be square")
-        if n is not None and len(A) != n:
-            raise BadParams(f"quadratic_form matrix has {len(A)} rows, for {n} nodes")
-        scale = max(float(np.max(np.abs(A))), 1.0)
-        if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-            raise BadParams("quadratic_form matrix must be symmetric")
-        m = node_measure_array(node_measure, A.shape[0])
-        # generalized spectrum A v = lam * M v, via symmetric rescaling
-        s = np.sqrt(m)
-        vals, vecs = np.linalg.eigh(A / np.outer(s, s))
-        if vals[0] < -1e-10 * scale:
-            raise BadParams(f"quadratic_form matrix is not PSD (min eigenvalue {vals[0]})")
-        vecs = vecs / s[:, None]  # columns m-orthonormal
-        return FunctionalHandle(kind="quadratic_form", degree=2.0, measure=m,
-                                matrix=A, _quad_eigvals=vals, _quad_eigvecs=vecs)
-
-    raise BadParams(f"unknown functional kind {kind!r}")
+    if matrix is None:
+        raise BadParams("quadratic_form requires a matrix")
+    A = np.asarray(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise BadParams("quadratic_form matrix must be square")
+    if n is not None and len(A) != n:
+        raise BadParams(f"quadratic_form matrix has {len(A)} rows, for {n} nodes")
+    scale = max(float(np.max(np.abs(A))), 1.0)
+    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
+        raise BadParams("quadratic_form matrix must be symmetric")
+    m = node_measure_array(node_measure, A.shape[0])
+    # generalized spectrum A v = lam * M v, via symmetric rescaling
+    s = np.sqrt(m)
+    vals, vecs = np.linalg.eigh(A / np.outer(s, s))
+    if vals[0] < -1e-10 * scale:
+        raise BadParams(f"quadratic_form matrix is not PSD (min eigenvalue {vals[0]})")
+    vecs = vecs / s[:, None]  # columns m-orthonormal
+    return FunctionalHandle(kind="quadratic_form", degree=2.0, measure=m,
+                            matrix=A, _quad_eigvals=vals, _quad_eigvecs=vecs)
 
 
 def laplacian_matrix(graph: WeightedGraph) -> np.ndarray:

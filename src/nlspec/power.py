@@ -94,6 +94,8 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
         raise BadParams("c must lie in (0, 1)")
     if rule not in ("constant", "adaptive"):
         raise BadParams(f"unknown step-size rule {rule!r}")
+    if not 0 < tol < np.inf:
+        raise BadParams(f"tolerance must be finite and positive, got {tol}")
     check_count("max_iter", max_iter)
     start = clamp_boundary(F, as_signal(start, F.dim))
     m = F.measure

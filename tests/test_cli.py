@@ -242,14 +242,19 @@ class TestFrontDoor:
                      "boundary": [0]},
           "functional": {"kind": "quadratic_form", "matrix": np.eye(3).tolist()},
           "input": {"values": [0.0, 1.0, 2.0]}}, "quadratic_form has no Dirichlet"),
+        ({"command": "power", "input": MISSING,
+          "options": {"tol": -1, "max_iter": 300}}, "tolerance"),
+        ({"command": "power", "input": MISSING,
+          "options": {"tol": float("nan"), "max_iter": 300}}, "tolerance"),
     ], ids=["negative_n", "power_max_iter_0", "dirichlet_p_nan",
             "quadratic_form_size", "time_horizon_0", "l1_dirichlet_grid",
-            "quadratic_form_graph_boundary"])
+            "quadratic_form_graph_boundary", "power_tol_negative", "power_tol_nan"])
     def test_library_rejection_is_one_error_line(self, overrides, words,
                                                  tmp_path, capsys):
         # a ValueError and a TypeError traceback before the library checked;
         # a matrix of the wrong size, a numpy ValueError without the check
-        # in make_functional; a horizon of 0, one step
+        # in make_functional; a horizon of 0, one step; a power tol of -1 or
+        # NaN, every iteration and exit 0 with a warning
         rc, err = self._run(tmp_path, capsys, **overrides)
         assert rc == 1 and err.startswith("error:") and words in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -32,6 +32,12 @@ class TestWeightedGraph:
         with pytest.raises(errors.BadParams):
             nl.WeightedGraph(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
 
+    @pytest.mark.parametrize("n", [True, 2.5, 0])
+    def test_node_count_is_a_count(self, n):
+        # 2.5 ended in a bare numpy TypeError
+        with pytest.raises(errors.BadParams, match=f"n must be an integer >= 1, got {n}"):
+            nl.WeightedGraph(n=n, edges=())
+
     def test_rejects_bad_measure(self):
         with pytest.raises(errors.BadParams):
             nl.WeightedGraph(n=2, edges=((0, 1, 1.0),),

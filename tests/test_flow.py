@@ -167,9 +167,9 @@ class TestRunFlow:
         assert np.array_equal(tr.t, nl.run_flow(F, f).t)
         assert tr.extinction_index is not None
 
-    @pytest.mark.parametrize("max_steps", [2.5, -3, 0])
+    @pytest.mark.parametrize("max_steps", [2.5, -3, 0, True])
     def test_max_steps_must_be_a_positive_integer(self, max_steps):
-        # -3 once returned an empty trace, 2.5 a bare TypeError
+        # -3 once returned an empty trace, 2.5 a bare TypeError, True one step
         F = nl.make_functional("graph_tv", path_graph(3))
         with pytest.raises(nl.errors.BadParams):
             nl.run_flow(F, np.array([1.0, 0.0, -1.0]), max_steps=max_steps)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nlspec as nl
-from nlspec import errors
+from nlspec import cli, core, errors, functionals
 
 
 class TestGridSpec:
@@ -38,6 +38,20 @@ class TestGridSpec:
             nl.GridSpec(width=2, spacing=0.0)
         with pytest.raises(errors.BadParams):
             nl.GridSpec(width=2, boundary_mode="periodic")
+
+    @pytest.mark.parametrize("size", [{"width": True}, {"width": 2.5},
+                                      {"width": 4, "height": True},
+                                      {"width": 4, "height": 0}],
+                             ids=["width_bool", "width_fraction", "height_bool",
+                                  "height_0"])
+    def test_width_and_height_are_counts(self, size):
+        """width=True built a 1-node graph, and width=2.5 ended in a bare
+        numpy TypeError."""
+        name, value = list(size.items())[-1]
+        with pytest.raises(errors.BadParams,
+                           match=f"{name} must be an integer >= 1, got {value}"):
+            nl.GridSpec(**size)
+        assert nl.GridSpec(np.int64(3), np.int64(2)).lattice_shape == (2, 3)
 
 
 def reference_grid(spec):
@@ -139,7 +153,7 @@ class TestMakeFunctional:
             nl.make_functional("quadratic_form", matrix=-np.eye(2))
 
     def test_unknown_kind(self):
-        with pytest.raises(errors.BadParams):
+        with pytest.raises(errors.BadParams, match="^unknown functional kind 'huber'$"):
             nl.make_functional("huber")
 
     def test_l1_from_graph_measure(self):
@@ -162,14 +176,57 @@ class TestMakeFunctional:
         """Only the graph kinds clamp Dirichlet nodes; these took the graph's
         measure and dropped its boundary, so prox(ones).u[0] read 1.0 (0.9
         for l1) where graph_tv clamps it to 0."""
+        def matrix(g):  # the argument quadratic_form reads
+            return nl.laplacian_matrix(g) if kind == "quadratic_form" else None
         g = nl.build_grid_graph(nl.GridSpec(3, boundary_mode="dirichlet"))
         with pytest.raises(errors.BadParams, match="Dirichlet"):
-            nl.make_functional(kind, g, matrix=nl.laplacian_matrix(g))
+            nl.make_functional(kind, g, matrix=matrix(g))
         F = nl.make_functional("graph_tv", g)
         assert nl.prox(F, np.ones(5), 0.1).u[0] == 0.0
         neumann = nl.build_grid_graph(nl.GridSpec(3))
-        assert nl.make_functional(kind, neumann,
-                                  matrix=nl.laplacian_matrix(neumann)).dim == 3
+        assert nl.make_functional(kind, neumann, matrix=matrix(neumann)).dim == 3
+
+    @pytest.mark.parametrize("kind, graph, args, words", [
+        ("graph_tv", True, {"p": 2.0}, "'graph_tv' on a graph does not read p"),
+        ("dirichlet_p", True, {"p": 1.5, "node_measure": [2.0] * 4},
+         "does not read node_measure"),
+        ("l1", True, {"n": 7}, "'l1' on a graph does not read n"),
+        ("quadratic_form", False, {"matrix": np.eye(1), "n": 1},
+         "'quadratic_form' does not read n"),
+        ("graph_tv", True, {"p": 1.0, "matrix": np.eye(4), "n": 4,
+                            "node_measure": [1.0] * 4},
+         "does not read p, matrix, n, node_measure"),
+        ("huber", True, {"p": 1.0}, "unknown functional kind 'huber' on a "
+                                    "graph does not read p")],
+        ids=["graph_tv_p", "dirichlet_p_node_measure", "l1_n_on_graph",
+             "quadratic_form_n", "graph_tv_all", "unknown_p"])
+    def test_rejects_arguments_the_kind_does_not_read(self, kind, graph,
+                                                      args, words):
+        """The first four built TV with degree 1, kept the grid's measure of
+        ones, and built dim 4 and dim 1 without a word."""
+        g = nl.build_grid_graph(nl.GridSpec(4)) if graph else None
+        with pytest.raises(errors.BadParams, match=words):
+            nl.make_functional(kind, g, **args)
+
+    def test_each_kind_rejects_what_its_row_leaves_out(self):
+        """Each kind builds from what it needs and rejects by name every
+        argument its KIND_ARGS row leaves out, and on a graph also n and
+        node_measure; `nlspec run` reads the same rows."""
+        g = nl.build_grid_graph(nl.GridSpec(4))
+        value = {"p": 1.5, "matrix": nl.laplacian_matrix(g), "n": 4,
+                 "node_measure": [2.0] * 4}
+        need = {"dirichlet_p": ["p"], "quadratic_form": ["matrix"],
+                "l1": ["n"], "linf": ["n"]}
+        assert set(cli.KINDS) == set(functionals.KIND_ARGS)
+        for kind, reads in functionals.KIND_ARGS.items():
+            assert tuple(cli.KINDS[kind]) == reads
+            for graph in (g,) if kind in core.GRAPH_KINDS else (g, None):
+                on_graph = set(functionals.GRAPH_ARGS) if graph else set()
+                base = {a: value[a] for a in need.get(kind, ()) if a not in on_graph}
+                assert nl.make_functional(kind, graph, **base).dim == 4
+                for a in set(value) - set(reads) | on_graph:
+                    with pytest.raises(errors.BadParams, match=f"does not read {a}"):
+                        nl.make_functional(kind, graph, **base, **{a: value[a]})
 
     def test_quadratic_form_size_must_match_the_graph(self):
         g = nl.build_grid_graph(nl.GridSpec(width=4))

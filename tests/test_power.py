@@ -195,6 +195,15 @@ class TestPowerMethod:
         with pytest.raises(errors.BadParams):
             nl.power_method(F, np.array([1.0, 0.0]), rule="geometric")
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        """-1 and NaN ran every start to max_iter and returned converged=False."""
+        F = nl.make_functional("graph_tv", path_graph(4))
+        for call in (lambda: nl.power_method(F, np.arange(4.0), tol=tol),
+                     lambda: nl.ground_state_search(F, restarts=2, tol=tol)):
+            with pytest.raises(errors.BadParams, match="finite and positive"):
+                call()
+
     def test_invariants_across_rules_and_steps(self):
         rng = np.random.default_rng(9)
         g = path_graph(4)
@@ -531,9 +540,12 @@ class TestGroundStateSearch:
         lambda F: nl.power_method(F, np.array([1.0, 0.0]), max_iter="3"),
         lambda F: nl.ground_state_search(F, restarts=2.5),
         lambda F: nl.ground_state_search(F, max_iter=2.5),
+        lambda F: nl.power_method(F, np.array([1.0, 0.0]), max_iter=True),
+        lambda F: nl.ground_state_search(F, restarts=True),
     ], ids=["power_max_iter", "power_max_iter_str", "restarts",
-            "search_max_iter"])
+            "search_max_iter", "power_max_iter_bool", "restarts_bool"])
     def test_counts_must_be_integers(self, call):
-        # a fraction once ended in a bare TypeError from range()
+        # a fraction once ended in a bare TypeError from range(), and True
+        # ran once
         with pytest.raises(errors.BadParams):
             call(nl.make_functional("l1", n=2))

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -70,7 +71,8 @@ class TestProxExamples:
         and p = 3 and quadratic_form a NaN gap; tol = inf certified the
         first check."""
         g = nl.build_grid_graph(nl.GridSpec(width=8))
-        F = nl.make_functional(kind, g, p=p, matrix=nl.laplacian_matrix(g))
+        F = nl.make_functional(kind, g, p=p, matrix=nl.laplacian_matrix(g)
+                               if kind == "quadratic_form" else None)
         f = np.random.default_rng(0).standard_normal(8)
         args = {"sigma": 0.5, "tol": 1e-10, "scale": 1.0, arg: value}
         with pytest.raises(errors.BadStep, match="finite and positive"):
@@ -215,7 +217,7 @@ def test_l1_prox_closed_form_property(vals, sigma):
 
 
 class TestMaxIter:
-    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5])
+    @pytest.mark.parametrize("max_iter", [-1, 0, 2.5, True])
     @pytest.mark.parametrize("kind, p", [("graph_tv", None),
                                          ("dirichlet_p", 3.0)],
                              ids=["dual", "lbfgs"])
@@ -421,11 +423,11 @@ class TestClusterRounding:
     the prox is exact once the dual iterates have found the jump set."""
 
     def test_exact_at_ordinary_tolerance(self):
-        grids = [("graph_tv", nl.GridSpec(12, 10, boundary_mode="dirichlet")),
-                 ("graph_tv", nl.GridSpec(16, 16)),
-                 ("dirichlet_p", nl.GridSpec(33, boundary_mode="dirichlet"))]
-        for kind, spec in grids:
-            F = nl.make_functional(kind, nl.build_grid_graph(spec), p=1.0)
+        grids = [("graph_tv", None, nl.GridSpec(12, 10, boundary_mode="dirichlet")),
+                 ("graph_tv", None, nl.GridSpec(16, 16)),
+                 ("dirichlet_p", 1.0, nl.GridSpec(33, boundary_mode="dirichlet"))]
+        for kind, p, spec in grids:
+            F = nl.make_functional(kind, nl.build_grid_graph(spec), p=p)
             clamped = ~F.graph.interior_mask
             for seed in range(3):
                 f = np.random.default_rng(seed).standard_normal(F.dim)
@@ -798,6 +800,33 @@ class TestNewtonRoute:
         f = np.random.default_rng(0).standard_normal(F.dim)
         sol = nl.prox(F, f, 1.0)
         assert sol.converged and sol.iterations <= 20
+
+    def test_halved_steps_certify(self):
+        """p = 4 on the 16x16 grid with spacing 1/16 at sigma = 1 and f =
+        100*N(0, 1) (seed 0): Armijo's rule rejects the step 4 times, each
+        time halved, and the solve certifies in 39 steps.  A line probe
+        counts the halvings, which no other test reaches."""
+        F = pdirichlet_grid(4.0, width=16, spacing=1 / 16)
+        f = 100.0 * np.random.default_rng(0).standard_normal(F.dim)
+        code = prox_module.minimize.__code__
+        lines, first = inspect.getsourcelines(prox_module.minimize)
+        halve = first + next(k for k, line in enumerate(lines)
+                             if line.strip() == "t *= 0.5")
+        halvings = 0
+
+        def probe(frame, event, arg):
+            nonlocal halvings
+            halvings += event == "line" and frame.f_lineno == halve
+            return probe
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     probe if frame.f_code is code else None)
+        try:
+            sol = nl.prox(F, f, 1.0)
+        finally:
+            sys.settrace(previous)
+        assert sol.converged and halvings > 0
 
     def test_fresh_interpreter_loads_no_heavy_module(self):
         """No prox route imports scipy.optimize, scipy.linalg,

@@ -261,9 +261,9 @@ def write_signal(dirpath, name, values, grid_spec, manifest):
 def write_eigen_csv(path, pairs):
     _save(path, [(i, p.lam, p.mu, p.sigma, p.rayleigh, p.residual,
                   p.certificate.euler_residual, p.certificate.subgradient_gap,
-                  p.oscillation, p.converged) for i, p in enumerate(pairs)],
-          ["%d"] + [FMT] * 8 + ["%d"], "rank,lambda,mu,sigma,rayleigh,residual,"
-          "euler_residual,subgradient_gap,oscillation,converged", **_CSV)
+                  p.converged) for i, p in enumerate(pairs)],
+          ["%d"] + [FMT] * 7 + ["%d"], "rank,lambda,mu,sigma,rayleigh,residual,"
+          "euler_residual,subgradient_gap,converged", **_CSV)
 
 
 # ---------------------------------------------------------------------------

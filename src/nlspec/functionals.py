@@ -119,10 +119,10 @@ def make_functional(kind: str, graph: WeightedGraph = None, *, p: float = None,
         raise BadParams("quadratic_form matrix must be square")
     if n is not None and len(A) != n:
         raise BadParams(f"quadratic_form matrix has {len(A)} rows, for {n} nodes")
+    m = node_measure_array(node_measure, A.shape[0])  # rejects a 0x0 matrix
     scale = max(float(np.max(np.abs(A))), 1.0)
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise BadParams("quadratic_form matrix must be symmetric")
-    m = node_measure_array(node_measure, A.shape[0])
     # generalized spectrum A v = lam * M v, via symmetric rescaling
     s = np.sqrt(m)
     vals, vecs = np.linalg.eigh(A / np.outer(s, s))

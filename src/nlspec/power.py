@@ -1,9 +1,12 @@
 """Proximal power method for nonlinear eigenpairs and ground states.
 
-Iterates w_{k+1} = prox_{sigma_k J}(w_k) / ||prox_{sigma_k J}(w_k)||, with the
-step chosen as sigma_k = c/J(w_0) (constant rule) or c/J(w_k) (adaptive rule),
-0 < c < 1.  At a fixed point prox_sigma(w) = mu*w and the eigenvalue is
-lambda = (1 - mu) / (sigma * mu^{p-1}).
+Iterates w_{k+1} = prox_{sigma_k J}(w_k) / ||prox_{sigma_k J}(w_k)||, with
+the step sigma_k set by 0 < c < 1 and a rule.  The adaptive rule, the
+default, sets sigma_k = c/J(w_k), so sigma_k J(w_k) = c at every row.  The
+constant rule sets sigma_k = c/J(w_0) for the whole run, so sigma_k J(w_k)
+shrinks as J falls, and for p != 1 a start of large J contracts by only
+about 1 - sigma*lambda a row.  At a fixed point prox_sigma(w) = mu*w and the
+eigenvalue is lambda = (1 - mu) / (sigma * mu^{p-1}).
 
 The outer iteration needs only an inner error that shrinks with its own
 progress (inexact proximal point, Rockafellar, SIAM J. Control Optim. 1976;
@@ -38,9 +41,7 @@ from zero, so a restart of `ground_state_search` carries nothing over.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -79,14 +80,13 @@ class EigenPair:
     certificate: EigenCertificate  # eigen_certificate(F, w, lam)
     history: list          # per prox call {"J", "residual", "sigma", "mu", "w_norm",
                            # "prox_tol", "prox_iterations"}
-    oscillation: float     # max pairwise distance over the last 10 iterates
     # the residual reached tol, every prox solve converged to the tolerance it
     # was given, and the last two at PROX_TOL
     converged: bool
 
 
 def power_method(F: FunctionalHandle, start, c: float = 0.9,
-                 rule: str = "constant", tol: float = 1e-13,
+                 rule: str = "adaptive", tol: float = 1e-13,
                  max_iter: int = 2000) -> EigenPair:
     """Run the normalized proximal iteration from `start`; the pair returned
     describes its last prox call, one per entry of `history`."""
@@ -110,7 +110,6 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
     w = v / nv
     Jw = evaluate(F, w)
     history = []
-    recent = deque(maxlen=10)
     converged, solved = False, True  # solved: every prox solve converged
     # w_exact: w is the start or the output of a solve at PROX_TOL
     prox_tol, w_exact = max(PROX_TOL, RESID_BOUND / 100.0), True
@@ -149,22 +148,20 @@ def power_method(F: FunctionalHandle, start, c: float = 0.9,
             prox_tol = PROX_TOL
             continue
         w, Jw, w_exact = v / nv, J_next, exact
-        recent.append(w)
         prox_tol = PROX_TOL if resid <= tol else max(PROX_TOL, resid / 100.0)
 
     mu = min(mu, 1.0)
     lam = max((1.0 - mu) / (sigma * mu ** (F.degree - 1.0)), 0.0)
-    osc = max((norm(a - b, m) for a, b in combinations(recent, 2)), default=0.0)
     cert_psi0 = psi / (1.0 - mu) if psi is not None and mu < 1.0 else None
     return EigenPair(w=w, mu=mu, sigma=sigma, lam=lam,
                      rayleigh=F.degree * Jw,
                      residual=norm(sol.u - mu * w, m),
                      certificate=eigen_certificate(F, w, lam, psi0=cert_psi0),
-                     history=history, oscillation=osc, converged=converged and solved)
+                     history=history, converged=converged and solved)
 
 
 def ground_state_search(F: FunctionalHandle, restarts: int = 5, seed: int = 0,
-                        c: float = 0.9, rule: str = "constant",
+                        c: float = 0.9, rule: str = "adaptive",
                         tol: float = 1e-13, max_iter: int = 2000):
     """Multi-start search for the minimal nonzero eigenvalue.
 

@@ -641,7 +641,7 @@ class TestArtifactFormats:
             "command": "power", "options": {"restarts": 1}})
         head = (out / "eigen.csv").read_bytes().split(b"\r\n")[0]
         assert head == (b"rank,lambda,mu,sigma,rayleigh,residual,euler_residual,"
-                        b"subgradient_gap,oscillation,converged")
+                        b"subgradient_gap,converged")
 
     def test_oracle_on_a_path(self, tmp_path):
         out = self._run(tmp_path, {

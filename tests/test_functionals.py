@@ -152,6 +152,11 @@ class TestMakeFunctional:
         with pytest.raises(errors.BadParams):
             nl.make_functional("quadratic_form", matrix=-np.eye(2))
 
+    def test_quadratic_rejects_an_empty_matrix(self):
+        # once a bare numpy ValueError from the symmetry test's np.max
+        with pytest.raises(errors.BadParams, match="^n must be an integer >= 1, got 0$"):
+            nl.make_functional("quadratic_form", matrix=np.zeros((0, 0)))
+
     def test_unknown_kind(self):
         with pytest.raises(errors.BadParams, match="^unknown functional kind 'huber'$"):
             nl.make_functional("huber")

@@ -239,13 +239,15 @@ class TestPowerMethod:
         # scalar stop at tol gives vector residual <= sqrt(2 mu tol)
         assert pair.residual <= math.sqrt(2.0 * 1e-12) * 2.0
 
-    def test_history_and_oscillation_reported(self):
+    def test_history_reported(self):
         g = path_graph(5)
         F = nl.make_functional("graph_tv", g)
         pair = nl.power_method(F, np.array([1.0, 0.0, -1.0, 0.5, 0.2]),
                                tol=1e-12, max_iter=300)
         assert len(pair.history) >= 1
-        assert pair.oscillation >= 0.0
+        assert all(row.keys() == {"J", "residual", "sigma", "mu", "w_norm",
+                                  "prox_tol", "prox_iterations"}
+                   for row in pair.history)
 
     def test_prox_tolerance_schedule(self, monkeypatch):
         # criterion 3's graph and first start: the early solves run loose,
@@ -467,6 +469,30 @@ class TestGroundStateSearch:
                                      max_iter=3000)
         cos = abs(nl.inner(out["best"].w, dn, F.measure))
         assert cos >= 0.99
+
+    @pytest.mark.parametrize("kind, width, height, p, seed", [
+        ("lipschitz_sup", 12, 12, None, 2),
+        ("lipschitz_sup", 12, 12, None, 3),
+        ("dirichlet_p", 16, 16, 3.0, 0),
+        ("dirichlet_p", 33, 1, 3.0, 0),
+    ], ids=["lipschitz_12x12_seed2", "lipschitz_12x12_seed3", "p3_16x16_seed0",
+            "p3_path33_seed0"])
+    def test_default_search_certifies_every_pair(self, kind, width, height, p,
+                                                 seed):
+        """At its defaults every pair is converged, certified and has lambda
+        at p*J(w).  Under the constant rule the 12x12 seed-2 search returned
+        a pair flagged converged with a certificate of 8.7e-9, the 16x16
+        search pairs with lambda 2.6e-5 off p*J(w), and the path search two
+        pairs unconverged after 2,000 rows."""
+        g = nl.build_grid_graph(nl.GridSpec(width=width, height=height,
+                                            boundary_mode="dirichlet"))
+        F = nl.make_functional(kind, g, p=p)
+        out = nl.ground_state_search(F, restarts=3, seed=seed)
+        assert len(out["all"]) == 3
+        for pair in out["all"]:
+            assert pair.converged
+            assert pair.certificate.max_residual <= 1e-9
+            assert abs(pair.lam - pair.rayleigh) <= 1e-7 * pair.rayleigh
 
     def test_tv_two_node_matches_circle_brute_force(self):
         g = path_graph(2)

@@ -171,6 +171,42 @@ def components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             root, jumped = jumped, jumped[jumped]
 
 
+def potentials(n: int, i: np.ndarray, j: np.ndarray, d: np.ndarray):
+    """(root, pi): the roots of `components`, and node potentials, 0 at each
+    root, with pi[j] - pi[i] = d on the edges of a spanning forest of the
+    edges (i, j), so on every edge when the offsets d sum to 0 around each
+    cycle.
+
+    The same hook-and-jump union-find, with each node's offset from its
+    parent: a root hooks onto a smaller root by one edge (its smallest
+    index), and pointer jumping sums the offsets.  On a whole grid it costs
+    2.2x `components` at 32x32 and 4.8x at 128x128, so `components` keeps
+    serving the callers that need only roots, `WeightedGraph`'s check among
+    them.
+    """
+    root, pi = np.arange(n), np.zeros(n)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            return root, pi
+        # an edge inside a tree stays inside it
+        i, j, d, ri, rj = i[cross], j[cross], d[cross], ri[cross], rj[cross]
+        # edge k asks for pi_rj - pi_ri = shift[k] at the roots
+        shift = d + pi[i] - pi[j]
+        up = rj > ri
+        pick = np.full(n, len(i))
+        np.minimum.at(pick, np.where(up, rj, ri), np.arange(len(i)))
+        hooked = np.flatnonzero(pick < len(i))
+        k = pick[hooked]
+        root[hooked] = np.where(up[k], ri[k], rj[k])
+        pi[hooked] = np.where(up[k], shift[k], -shift[k])
+        jumped = root[root]
+        while (jumped != root).any():
+            pi += pi[root]
+            root, jumped = jumped, jumped[jumped]
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionalHandle:
     """Descriptor of a p-homogeneous convex functional (equal only to itself)."""

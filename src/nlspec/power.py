@@ -28,8 +28,10 @@ Each solve of a run starts the dual kernel from the previous solve's edge
 flow psi (`ProxSolution.psi`) times sigma_k/sigma_{k-1}: the optimal flow is
 sigma times a flow of the subgradient zeta, so it scales with the step; the
 constant rule keeps the factor 1.  Near a fixed point the input barely
-moves, so the confirming solves certify in a few checks.  A redo starts
-from the loose solve's psi.
+moves, so the confirming solves certify in a few checks: at p = 1 the start
+already carries the clusters or active edges that the kernel rounds to, so
+the first check can certify (it does in each of criterion 3's chains).  A redo
+starts from the loose solve's psi.
 The certificate (`eigen_certificate`) solves prox_{sigma' J}(2w) = w,
 sigma' = 1/lambda, so its flow has div = w where the last solve's had
 (1 - mu)*w: it starts from that flow over (1 - mu), from zero when mu >= 1.

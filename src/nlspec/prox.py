@@ -17,7 +17,9 @@ the edgewise maps):
                    edgewise map after each step: the box at degree 1,
                    whose primal is also rounded to its clusters; the prox of
                    the power conjugate for 1 < p < 2; the weighted-l1 ball for
-                   lipschitz_sup, by Newton from the solve's last multiplier.
+                   lipschitz_sup, by Newton from the solve's last multiplier,
+                   whose primal is also rounded to one slope level on the
+                   edges that carry flow.
                    Both routes certify with the gap in its Fenchel-Young form
                    (`_fenchel_young`), edge by edge, so no term of the size of
                    f cancels and in the box none is < 0.
@@ -50,7 +52,7 @@ import numpy as np
 from . import edgecalc
 from .core import (GRAPH_KINDS, FunctionalHandle, as_signal, check_count,
                    clamp_boundary, components, euler_residual, evaluate,
-                   norm, split_nullspace)
+                   norm, potentials, split_nullspace)
 from .errors import (BadParams, BadStep, NullspaceElement,
                      UnsupportedFunctional, ZeroSignal)
 
@@ -143,8 +145,11 @@ def _edge_dual(F, sigma):
       `edgecalc.prox_power_conjugate` with
       h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
     - psi -> sum_e h*_e(psi_e): 0 for the indicators;
-    - the box radii sigma*w for the box kinds, else None: an edge strictly
-      inside its box joins two nodes on which the exact prox is equal;
+    - (f, psi) -> a rounded primal candidate, or None for 1 < p < 2: the
+      cluster means (`_cluster_means`) for the box kinds, where an edge
+      strictly inside its box joins two nodes on which the exact prox is
+      equal, and the slope levels (`_slope_levels`) for lipschitz_sup, where
+      an edge that carries flow attains the exact prox's largest slope;
     - du -> h(du) = sigma*J(u) at du = edge_diff(u), as the edge terms
       sigma*w_e*|du_e|^p/p, or for lipschitz_sup, whose J sums no terms,
       as the value sigma*max_e w_e*|du_e|.
@@ -162,7 +167,8 @@ def _edge_dual(F, sigma):
             x, t = edgecalc.project_weighted_l1(psi, inv_w, ones, sigma, t,
                                                 ratios=ratios)
             return x
-        return (project, lambda psi: 0.0, None,
+        return (project, lambda psi: 0.0,
+                lambda f, psi: _slope_levels(F, f, psi, sigma),
                 lambda du: sigma * np.max(w * np.abs(du), initial=0.0))
     a = sigma * w
     if F.degree > 1.0:
@@ -172,7 +178,8 @@ def _edge_dual(F, sigma):
                 lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None,
                 lambda du: a * np.abs(du) ** p / p)
     lower = -a
-    return (lambda psi: edgecalc.project_box(psi, lower, a), lambda psi: 0.0, a,
+    return (lambda psi: edgecalc.project_box(psi, lower, a), lambda psi: 0.0,
+            lambda f, psi: _cluster_means(F, f, psi, np.abs(psi) < a),
             lambda du: a * np.abs(du))
 
 
@@ -215,20 +222,23 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter, scale, psi0=None):
     its certificate with it.  The step writes only into its own buffers,
     never into f, psi0 or an array it returns.
 
-    For the box kinds a check may also try u rounded to its clusters
-    (`_cluster_means`) and keep the candidate of smaller gap against the same
-    psi.  The exact prox is constant on the components of the edges strictly
-    inside the box (complementary slackness), and their means of f - div(psi)
-    depend only on the clipped flows of their boundary edges: once the
-    iterates have found the jump set the rounded u is exact, and the gap is
-    the dual error alone where u = f - div(psi) carries its square root.
-    Tries are rationed by the relative gap of u = f - div(psi): the first at
+    For the box kinds and lipschitz_sup a check may also try u rounded by
+    `_edge_dual`'s hook and keep the candidate of smaller gap against the
+    same psi.  By complementary slackness the exact prox is constant on the
+    components of the box kinds' edges strictly inside the box, whose means
+    of f - div(psi) depend only on the clipped flows of their boundary edges
+    (`_cluster_means`); and for lipschitz_sup it climbs at its largest slope
+    along every edge that carries flow, in the flow's direction
+    (`_slope_levels`).  Once the iterates have found the jump set, or the
+    active edges, the rounded u is exact, and the gap is the dual error
+    alone where u = f - div(psi) carries its square root.  Tries are
+    rationed by the relative gap of u = f - div(psi): the first at
     sqrt(tol), each later one after a tenfold fall since the last.
     """
     graph, m = F.graph, F.measure
     i_idx, j_idx, _ = graph.edge_arrays
-    project, conjugate, box, h = _edge_dual(F, sigma)
-    next_round = math.sqrt(tol) if box is not None else -math.inf
+    project, conjugate, rounded, h = _edge_dual(F, sigma)
+    next_round = math.sqrt(tol) if rounded is not None else -math.inf
 
     def primal_gap(psi):
         nonlocal next_round
@@ -239,7 +249,7 @@ def _prox_dual_fista(F, f, sigma, tol, max_iter, scale, psi0=None):
         rel = gap / (1.0 + abs(pval))
         if rel <= next_round:
             next_round = rel / 10.0
-            v = _cluster_means(F, f, psi, np.abs(psi) < box)
+            v = rounded(f, psi)
             pv, gv = _fenchel_young(h, conjugate, psi,
                                     edgecalc.edge_diff(v, i_idx, j_idx), m,
                                     v - f, v - u)
@@ -299,6 +309,43 @@ def _cluster_means(F, f, psi, joined):
     mean = np.divide(total, mass, out=np.zeros(n), where=mass > 0.0)
     mean[root[~F.graph.interior_mask]] = 0.0
     return mean[root]
+
+
+def _slope_levels(F, f, psi, sigma):
+    """The lipschitz_sup candidate v = c + t*g for the flow psi.  On the
+    edges that carry flow the exact prox has w_e*du_e = sign(psi_e)*t, t its
+    Lipschitz constant, so it is t times the potentials pi of
+    `core.potentials` plus one offset on each of their components.  The
+    offset is fixed by the m-mean of f - t*pi (flows leave a component only
+    on edges without flow), or by 0 at the component's Dirichlet nodes, whose
+    mean pi pins it; so v = c + t*g with c the mean of f or 0, and g pi less
+    its mean or its pin, 0 on Dirichlet nodes.  The level t >= 0 minimizes
+    0.5*||v - f||^2_m + sigma*t, the prox objective of v while the edges
+    without flow stay below t: t = max((<f, g>_m - sigma)/||g||^2_m, 0)."""
+    i_idx, j_idx, w = F.graph.edge_arrays
+    m, n, clamped = F.measure, len(f), ~F.graph.interior_mask
+    active = psi != 0.0
+    root, pi = potentials(n, i_idx[active], j_idx[active],
+                          np.sign(psi[active]) / w[active])
+    mass = np.bincount(root, weights=m, minlength=n)
+    # only the roots carry mass, so only they are divided
+    c = np.divide(np.bincount(root, weights=m * f, minlength=n), mass,
+                  out=np.zeros(n), where=mass > 0.0)
+    ref = np.divide(np.bincount(root, weights=m * pi, minlength=n), mass,
+                    out=np.zeros(n), where=mass > 0.0)
+    pins = np.bincount(root[clamped], minlength=n)
+    pinned = pins > 0
+    c[pinned] = 0.0
+    ref[pinned] = np.bincount(root[clamped], weights=pi[clamped],
+                              minlength=n)[pinned] / pins[pinned]
+    g = pi - ref[root]
+    g[clamped] = 0.0
+    # pairwise sums, not einsum's running one: sigma cancels most of
+    # <f, g>_m at an eigenvector, whose certificate reads what is left
+    mg = m * g
+    a = float(np.sum(mg * g))
+    t = max((float(np.sum(mg * f)) - sigma) / a, 0.0) if a > 0.0 else 0.0
+    return c[root] + t * g
 
 
 def minimize(F, f, sigma, tol, max_iter, scale=1.0):
@@ -385,10 +432,13 @@ class EigenCertificate:
     for a true eigenpair.  subgradient_gap = ||prox_{sigma J}(w + sigma*zeta)
     - w||_m / sigma, sigma = 1/lam (1 if lam <= 0), is 0 exactly when zeta is
     in dJ(w), and at most dist(zeta, dJ(w)) as the prox is nonexpansive; it
-    reads the accuracy of its solve (tol 1e-12) in place of 0.  On a graph_tv
-    (or p = 1) eigenvector, constant on clusters, the solve rounds to them
-    (`_prox_dual_fista`) and it reads exactly 0.  An unconverged solve
-    certifies nothing: the gap reads inf."""
+    reads the accuracy of its solve (tol 1e-12) in place of 0.  The solve
+    rounds (`_prox_dual_fista`) where the answer has the rounding's form: on
+    a graph_tv (or p = 1) eigenvector, constant on clusters, it reads exactly
+    0, and on a lipschitz_sup eigenvector of one slope on the edges that
+    carry the flow, such as the distance to a Dirichlet boundary, it reads
+    the rounding of that slope (at most 2e-15 in the tests).  An unconverged
+    solve certifies nothing: the gap reads inf."""
 
     euler_residual: float
     subgradient_gap: float

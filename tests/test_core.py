@@ -126,6 +126,41 @@ class TestComponents:
                                                  np.zeros(0, int)), np.arange(4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["forest", "consistent", "none"]))
+def test_potentials_property(n, seed, case):
+    """potentials gives the roots of `components`, the partition of scipy's
+    connected_components, 0 at each root, and reproduces every offset: any
+    offsets on a forest, and on graphs with cycles offsets that are the
+    differences of node values.  Random graphs keep isolated nodes; "none"
+    has no edges."""
+    rng = np.random.default_rng(seed)
+    if case == "forest":
+        # each node joins a smaller one or starts a tree of its own
+        j = np.flatnonzero(rng.random(n) < 0.7)
+        j = j[j > 0]
+        i = rng.integers(0, j)
+        d = rng.standard_normal(len(i))
+    elif case == "consistent":
+        i, j = rng.integers(0, n, (2, int(rng.integers(0, 2 * n + 1))))
+        i, j = i[i != j], j[i != j]
+        value = rng.standard_normal(n)
+        d = value[j] - value[i]
+    else:
+        i, j, d = np.zeros(0, int), np.zeros(0, int), np.zeros(0)
+    flip = rng.random(len(i)) < 0.5  # either orientation of an edge
+    i, j, d = np.where(flip, j, i), np.where(flip, i, j), np.where(flip, -d, d)
+    root, pi = nl.core.potentials(n, i, j, d)
+    assert np.array_equal(root, nl.core.components(n, i, j))
+    adj = coo_array((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, label = connected_components(adj, directed=False)
+    assert np.array_equal(label[:, None] == label[None, :],
+                          root[:, None] == root[None, :])
+    assert not pi[root == np.arange(n)].any()
+    assert np.allclose(pi[j] - pi[i], d, rtol=0.0, atol=1e-12)
+
+
 class TestEvaluate:
     def test_graph_tv_indicator(self):
         # indicator of the middle node on a 3-path has two unit jumps

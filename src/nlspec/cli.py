@@ -15,7 +15,9 @@ Each input generator reads its own key: indicator nodes, gaussian seed,
 oracle_eigenvector index.  Every stochastic option carries an explicit seed;
 the NLSPEC_SEED environment variable overrides the config seed and is
 recorded in the manifest.  All numbers in CSV output use 17 significant
-digits so 64-bit floats round-trip.
+digits so 64-bit floats round-trip.  YAML goes through libyaml when PyYAML
+was built with it: the same values and bytes as its pure-Python classes, but
+a malformed file's message is the parser's own.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from . import core, flow, functionals, oracles, power, validation
 from .errors import ConfigError, NlspecError
 
 FMT = "%.17g"
+# PyYAML's libyaml classes, or its pure-Python ones where it was built without
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _fmt(x) -> str:
@@ -133,7 +138,7 @@ def _pick(raw, path, tables):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -225,11 +230,16 @@ TRACE_COLUMNS = ("t", "tau", "J", "dist", "Lambda", "zeta_norm",
 _CSV = {"delimiter": ",", "newline": "\r\n"}
 
 
-def _save(path, table, fmt, header="", **kw):
-    """A 2-D table as text through np.savetxt: one `fmt` per column, `header`
-    (if any) the first line as given; the same bytes on every platform."""
+def _save(path, table, fmt, header="", delimiter=" ", newline="\n"):
+    """A 2-D table as text, the bytes of np.savetxt(fh, table, fmt, delimiter,
+    newline, header, comments=""): one `fmt` per column, `header` (if any)
+    the first line as given.  The rows are one format string, filled by one
+    `%` over the table's values and written at once."""
+    table = np.asarray(table)
+    row = delimiter.join(fmt) + newline
+    text = row * len(table) % tuple(table.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=fmt, header=header, comments="", **kw)
+        fh.write(header + newline + text if header else text)
 
 
 def write_trace_csv(path, trace):
@@ -248,7 +258,8 @@ def write_signal(dirpath, name, values, grid_spec, manifest):
         pix = np.round((values - vmin) / span * 65535).astype(int) if span > 0 \
             else np.zeros(len(values), dtype=int)
         path = os.path.join(dirpath, name + ".pgm")
-        _save(path, pix.reshape(rows, cols), "%d", f"P2\n{cols} {rows}\n65535")
+        _save(path, pix.reshape(rows, cols), ["%d"] * cols,
+              f"P2\n{cols} {rows}\n65535")
         manifest["signal_scaling"][name + ".pgm"] = {
             "vmin": vmin, "vmax": vmax,
             "note": "value = vmin + pixel/65535 * (vmax - vmin)"}
@@ -348,7 +359,7 @@ def cmd_run(args) -> int:
     if manifest["warnings"] and args.strict:
         status = 1
     with open(os.path.join(out_dir, "manifest.yaml"), "w") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=True)
+        yaml.dump(manifest, fh, Dumper=_DUMPER, sort_keys=True)
     return status
 
 
@@ -388,7 +399,7 @@ def _read_tols(path):
     """Column name -> absolute tolerance, from a YAML mapping."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_LOADER) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"--tol-file: {exc}") from exc
     if not isinstance(raw, dict):

@@ -654,6 +654,133 @@ class TestArtifactFormats:
         assert line == b"0 %.17g" % v
 
 
+# one hand-written config per command, in the YAML styles configs use:
+# comments, flow and block mappings, a block list, exponents and quoting
+COMMAND_CONFIGS = {
+    "flow": """\
+# graph TV on a 5x3 grid
+functional: {kind: graph_tv}
+domain:
+  grid: {width: 5, height: 3, spacing: 0.5}
+input:
+  generator: {name: gaussian, seed: 1}
+command: flow
+options: {tau: 5.0e-2, max_steps: 40, prox_tol: 1.0e-10}
+""",
+    "decompose": """\
+functional: {kind: dirichlet_p, p: 1.0}
+domain: {grid: {width: 4, height: 3, boundary_mode: "dirichlet"}}
+input:
+  generator: {name: indicator, nodes: [7, 8, 15]}
+command: decompose
+seed: 3
+""",
+    "power": """\
+functional: {kind: lipschitz_sup}
+domain: {grid: {width: 9, boundary_mode: dirichlet}}
+command: power
+options:
+  restarts: 2
+  max_iter: 3    # too few: the manifest carries warnings
+seed: 1
+""",
+    "oracle": """\
+functional:
+  kind: graph_tv
+domain:
+  n: 4
+  edges:
+    - [0, 1, 2.0]
+    - [1, 2, 0.5]
+    - [2, 3, 1.0]
+  boundary: [0]
+  node_measure: [1, 0.5, 2, 0.25]
+command: oracle
+""",
+}
+
+
+def _savetxt(path, table, fmt, header="", **kw):
+    """The writer `cli._save` stands in for."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, header=header, comments="", **kw)
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestReferenceWriters:
+    """Configs and manifests go through libyaml and tables through one
+    formatted write: the same values and bytes as PyYAML's pure-Python
+    classes and np.savetxt."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_pure_python_yaml_and_savetxt_write_the_same_bytes(
+            self, command, tmp_path, monkeypatch):
+        path = tmp_path / "c.yaml"
+        # a long output_dir with spaces, which the dump folds across lines
+        out = tmp_path / ("out with a name long enough that the manifest's "
+                          "config line wraps past eighty columns")
+        path.write_text(COMMAND_CONFIGS[command] + f"output_dir: {out}\n")
+        fast = cli.load_config(str(path))
+        assert cli.main(["run", str(path), "--output-dir", str(out / "fast")]) == 0
+        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(cli, "_DUMPER", yaml.SafeDumper)
+        monkeypatch.setattr(cli, "_save", _savetxt)
+        assert cli.load_config(str(path)) == fast
+        assert cli.main(["run", str(path), "--output-dir", str(out / "ref")]) == 0
+        fast_files, ref_files = _tree(out / "fast"), _tree(out / "ref")
+        assert "manifest.yaml" in fast_files and len(fast_files) > 2
+        assert fast_files == ref_files
+        manifest = yaml.safe_load(fast_files["manifest.yaml"])
+        assert manifest["config"] == fast
+        assert bool(manifest["warnings"]) == (command == "power")
+
+    @pytest.mark.parametrize("fmt, header, kw", [
+        (["%d"] + [cli.FMT] * 3, "k,a,b,c", cli._CSV),  # trace, eigen, oracle
+        (["%d"] * 3, "P2\n3 2\n65535", {}),  # pgm
+        (["%d", cli.FMT], "", {}),  # txt
+    ], ids=["csv", "pgm", "txt"])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_save_matches_savetxt(self, fmt, header, kw, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        if header.startswith("P2"):  # 16-bit pixels
+            table = rng.integers(0, 65536, (rows, 3))
+        else:
+            table = rng.standard_normal((rows, len(fmt))) \
+                * 10.0 ** rng.integers(-300, 300, (rows, len(fmt)))
+            table[:, 0] = np.arange(rows)
+            table[0, 1:] = [np.nan, -np.inf, -0.0][:len(fmt) - 1]
+        cli._save(tmp_path / "a", table, fmt, header, **kw)
+        _savetxt(tmp_path / "b", table, fmt, header, **kw)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_save_matches_savetxt_on_a_list_of_rows(self, tmp_path):
+        """eigen.csv's rows: tuples that end in a bool."""
+        table = [(0, 0.5, 1e-300, True), (1, -2.0, np.nan, False)]
+        fmt = ["%d", cli.FMT, cli.FMT, "%d"]
+        cli._save(tmp_path / "a", table, fmt, "r,x,y,ok", **cli._CSV)
+        _savetxt(tmp_path / "b", table, fmt, "r,x,y,ok", **cli._CSV)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("loader", sorted(
+        {cli._LOADER, yaml.SafeLoader}, key=lambda cls: cls.__name__))
+    def test_malformed_yaml_message_is_the_parsers(self, loader, tmp_path,
+                                                  monkeypatch, capsys):
+        """Only the prefix is ours: libyaml says 'mapping values are not
+        allowed in this context', the pure-Python parser '... here'."""
+        monkeypatch.setattr(cli, "_LOADER", loader)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("functional: kind: l1\n")
+        rc = cli.main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: config is not valid YAML: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestExplicitGraph:
     def test_readme_domain_runs_oracle(self, tmp_path):
         out = tmp_path / "out"

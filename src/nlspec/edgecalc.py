@@ -76,23 +76,19 @@ def project_box(phi: np.ndarray, lower: np.ndarray,
 
 
 def prox_power_conjugate(z: np.ndarray, a: np.ndarray, L: float,
-                         q: float, coef=None) -> np.ndarray:
+                         q: float) -> np.ndarray:
     """Edgewise prox of h*/L at z, h*(phi) = a*|phi/a|^q/q with a > 0, q > 2:
     the conjugate of h(d) = a*|d|^p/p, 1/p + 1/q = 1.
 
     The result keeps the sign of z; its magnitude is a*r with r the root of
     (L*a)*(r - |z|/a) + r^(q-1) = 0: in closed form at q = 3 (p = 3/2), else
     by `power_root`.  Working in r = phi/a keeps q large (p near 1) from
-    overflowing or underflowing (a^(1-q) never appears).  `coef`, the closed
-    form's 4/(L*a^2), may be passed by a caller that maps many times with the
-    same a and L.
+    overflowing or underflowing (a^(1-q) never appears).
     """
     if q == 3.0:
         # r = 2*rho / (1 + sqrt(1 + 4*rho/(L*a))), rho = |z|/a: the root of
         # r^2 + L*a*(r - rho), written without cancellation
-        if coef is None:
-            coef = 4.0 / (L * (a * a))
-        return z * (2.0 / (1.0 + np.sqrt(1.0 + coef * np.abs(z))))
+        return z * (2.0 / (1.0 + np.sqrt(1.0 + (4.0 / L) * np.abs(z) / (a * a))))
     return np.sign(z) * a * power_root(np.abs(z) / a, L * a, q)
 
 

@@ -143,8 +143,7 @@ def _edge_dual(F, sigma):
       one solve), onto the box
       |psi_e| <= sigma*w_e (degree 1), or for degree p > 1
       `edgecalc.prox_power_conjugate` with
-      h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1) (at p = 3/2
-      with its coefficient computed once, and h and h* by multiplication);
+      h*_e(psi) = sigma*w_e*|psi/(sigma*w_e)|^q/q, q = p/(p-1);
     - psi -> sum_e h*_e(psi_e): 0 for the indicators;
     - (f, psi) -> a rounded primal candidate, or None for 1 < p < 2: the
       cluster means (`_cluster_means`) for the box kinds, where an edge
@@ -174,24 +173,6 @@ def _edge_dual(F, sigma):
     a = sigma * w
     if F.degree > 1.0:
         p, q, graph = F.degree, F.degree / (F.degree - 1.0), F.graph
-        if q == 3.0:  # p = 3/2: h, h* and the map without general powers
-            coef = None  # the map's 4/(L*a^2), computed at its first call
-
-            def project(psi):
-                nonlocal coef
-                L = graph.grad_div_opnorm
-                if coef is None:
-                    coef = 4.0 / (L * (a * a))
-                return edgecalc.prox_power_conjugate(psi, a, L, q, coef)
-
-            def conjugate(psi):
-                r = np.abs(psi) / a
-                return float(np.sum(a * (r * r * r))) / 3.0
-
-            def h(du):
-                d = np.abs(du)
-                return a * (d * np.sqrt(d)) / p
-            return project, conjugate, None, h
         return (lambda psi: edgecalc.prox_power_conjugate(
                     psi, a, graph.grad_div_opnorm, q),
                 lambda psi: float(np.sum(a * np.abs(psi / a) ** q)) / q, None,

@@ -543,28 +543,6 @@ class TestPDirichletDual:
         f = np.random.default_rng(0).standard_normal(F.dim)
         assert nl.prox(F, f, 1e-2, max_iter=10000).converged
 
-    def test_three_halves_closed_forms_match_powers(self):
-        """At p = 3/2 (q = 3) the dual's h and h* multiply where the other p
-        take powers.  On one edge, a = sigma over 1e-70..1e70, they match
-        a*|d|^p/p for |d| over 1e-150..1e150 and a*|psi/a|^q/q for |psi|/a
-        over 1e-75..1e75 to 1e-15 relative, and so does the map, with its
-        coefficient computed once, against the one that computes it."""
-        F = nl.make_functional("dirichlet_p", path_graph(2), p=1.5)
-        d = np.logspace(-150, 150, 61)
-        d = np.concatenate((-d, d))
-        r = np.logspace(-75, 75, 31)
-        for sigma in np.logspace(-70, 70, 15):
-            project, hstar, _, h = prox_module._edge_dual(F, sigma)
-            assert np.allclose(h(d), sigma * np.abs(d) ** 1.5 / 1.5,
-                               rtol=1e-15, atol=0.0)
-            for psi in np.concatenate((-sigma * r, sigma * r)):
-                want = sigma * np.abs(psi / sigma) ** 3.0 / 3.0
-                assert hstar(np.array([psi])) == pytest.approx(want, rel=1e-15)
-            psi = sigma * np.concatenate((-r, r))
-            want = edgecalc.prox_power_conjugate(psi, np.full(1, sigma),
-                                                 F.graph.grad_div_opnorm, 3.0)
-            assert np.allclose(project(psi), want, rtol=1e-15, atol=0.0)
-
     @pytest.mark.parametrize("boundary_mode", ["neumann", "dirichlet"])
     @pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 2.0, 3.0])
     def test_matches_lbfgs_route(self, p, boundary_mode):
